@@ -19,6 +19,8 @@ namespace {
 
 /// Per-task accumulation state while scanning the trace.
 struct TaskScan {
+  cfg::TaskRef Ref;
+  const cfg::Task *Task = nullptr;
   int64_t OpenStart = -1; ///< Start of the currently executing interval.
   std::vector<JobStats> Jobs;
 };
@@ -33,25 +35,29 @@ AnalysisResult swa::analysis::analyzeTrace(const cfg::Config &Config,
   cfg::TimeValue L = Config.hyperperiod();
 
   // Pre-create the full job table: every job of the hyperperiod must be
-  // accounted for, including jobs that never produced any event.
-  std::vector<TaskScan> Scan(static_cast<size_t>(NT));
+  // accounted for, including jobs that never produced any event. Global
+  // ids number the tasks partition by partition.
+  std::vector<TaskScan> Scan;
+  Scan.reserve(static_cast<size_t>(NT));
+  for (size_t P = 0; P < Config.Partitions.size(); ++P)
+    for (size_t T = 0; T < Config.Partitions[P].Tasks.size(); ++T)
+      Scan.push_back({{static_cast<int>(P), static_cast<int>(T)},
+                      &Config.Partitions[P].Tasks[T]});
   for (int G = 0; G < NT; ++G) {
-    const cfg::Task &T = Config.taskOf(Config.taskRefOf(G));
-    int64_t NumJobs = L / T.Period;
-    Scan[static_cast<size_t>(G)].Jobs.resize(
-        static_cast<size_t>(NumJobs));
+    TaskScan &TS = Scan[static_cast<size_t>(G)];
+    int64_t NumJobs = L / TS.Task->Period;
+    TS.Jobs.resize(static_cast<size_t>(NumJobs));
     for (int64_t K = 0; K < NumJobs; ++K) {
-      JobStats &J = Scan[static_cast<size_t>(G)].Jobs[
-          static_cast<size_t>(K)];
+      JobStats &J = TS.Jobs[static_cast<size_t>(K)];
       J.TaskGid = G;
       J.JobIndex = static_cast<int>(K);
-      J.ReleaseTime = K * T.Period;
+      J.ReleaseTime = K * TS.Task->Period;
     }
   }
 
   auto JobOf = [&](int Gid, int64_t Time,
                    bool EndsJob) -> JobStats * {
-    const cfg::Task &T = Config.taskOf(Config.taskRefOf(Gid));
+    const cfg::Task &T = *Scan[static_cast<size_t>(Gid)].Task;
     int64_t K = Time / T.Period;
     // A FIN landing exactly on a release boundary belongs to the previous
     // job (deadline == period); a new job cannot finish at its release.
@@ -114,15 +120,16 @@ AnalysisResult swa::analysis::analyzeTrace(const cfg::Config &Config,
   Res.WorstResponse.assign(static_cast<size_t>(NT), 0);
   Res.Schedulable = true;
   for (int G = 0; G < NT; ++G) {
-    cfg::TaskRef Ref = Config.taskRefOf(G);
-    const cfg::Task &T = Config.taskOf(Ref);
-    cfg::TimeValue C = Config.boundWcet(Ref);
+    const cfg::Task &T = *Scan[static_cast<size_t>(G)].Task;
+    cfg::TimeValue C = Config.boundWcet(Scan[static_cast<size_t>(G)].Ref);
+    bool AnyMiss = false;
     for (JobStats &J : Scan[static_cast<size_t>(G)].Jobs) {
       ++Res.TotalJobs;
       int64_t AbsDeadline = J.ReleaseTime + T.Deadline;
       J.Completed = J.ExecTotal == C && J.FinishTime >= 0 &&
                     J.FinishTime <= AbsDeadline;
       if (!J.Completed) {
+        AnyMiss = true;
         ++Res.MissedJobs;
         if (Res.Schedulable) {
           Res.Schedulable = false;
@@ -141,15 +148,7 @@ AnalysisResult swa::analysis::analyzeTrace(const cfg::Config &Config,
       }
       Res.Jobs.push_back(std::move(J));
     }
-    if (Res.MissedJobs > 0)
-      continue;
-  }
-  for (int G = 0; G < NT; ++G) {
     // Worst response is undefined for tasks with missed jobs.
-    bool AnyMiss = false;
-    for (const JobStats &J : Res.Jobs)
-      if (J.TaskGid == G && !J.Completed)
-        AnyMiss = true;
     if (AnyMiss)
       Res.WorstResponse[static_cast<size_t>(G)] = -1;
   }

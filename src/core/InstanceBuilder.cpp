@@ -91,10 +91,22 @@ Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
     return LibOrErr.takeError();
   models::ModelLibrary &Lib = **LibOrErr;
 
+  // Global task id of each partition's first task; Config::globalTaskId
+  // would walk the partitions once per lookup.
+  std::vector<int> PartOffset(static_cast<size_t>(NP), 0);
+  for (int P = 1; P < NP; ++P)
+    PartOffset[static_cast<size_t>(P)] =
+        PartOffset[static_cast<size_t>(P - 1)] +
+        static_cast<int>(Config.Partitions[static_cast<size_t>(P - 1)]
+                             .Tasks.size());
+  auto GidOf = [&](const cfg::TaskRef &Ref) {
+    return PartOffset[static_cast<size_t>(Ref.Partition)] + Ref.Task;
+  };
+
   // Input links per task (message indices where the task receives).
   std::vector<std::vector<int64_t>> InLinks(static_cast<size_t>(NT));
   for (size_t M = 0; M < Config.Messages.size(); ++M) {
-    int RGid = Config.globalTaskId(Config.Messages[M].Receiver);
+    int RGid = GidOf(Config.Messages[M].Receiver);
     InLinks[static_cast<size_t>(RGid)].push_back(static_cast<int64_t>(M));
   }
 
@@ -104,12 +116,12 @@ Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
   int AutCount = 0;
   for (size_t P = 0; P < Config.Partitions.size(); ++P) {
     const cfg::Partition &Part = Config.Partitions[P];
-    int Off = Config.globalTaskId({static_cast<int>(P), 0});
+    int Off = PartOffset[P];
 
     for (size_t T = 0; T < Part.Tasks.size(); ++T) {
       const cfg::Task &Task = Part.Tasks[T];
       cfg::TaskRef Ref{static_cast<int>(P), static_cast<int>(T)};
-      int Gid = Config.globalTaskId(Ref);
+      int Gid = GidOf(Ref);
 
       std::vector<int64_t> In = InLinks[static_cast<size_t>(Gid)];
       int64_t NIn = static_cast<int64_t>(In.size());
@@ -176,7 +188,7 @@ Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
     const cfg::Message &Msg = Config.Messages[M];
     sa::NetworkBuilder::ParamMap VlParams = {
         {"link", {static_cast<int64_t>(M)}},
-        {"src", {static_cast<int64_t>(Config.globalTaskId(Msg.Sender))}},
+        {"src", {static_cast<int64_t>(GidOf(Msg.Sender))}},
         {"delay", {Config.effectiveDelay(Msg)}},
     };
     Result<sa::Automaton *> VL =
@@ -224,6 +236,7 @@ Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
     Reg.counter("core.models.built").add(1);
     Reg.counter("core.automata.instantiated")
         .add(static_cast<uint64_t>(Out.Net->Automata.size()));
+    Reg.counter("core.read_set.entries").add(NB.readSetEntries());
   }
 
   Out.ReadyBase = Out.Net->channelId("ready");

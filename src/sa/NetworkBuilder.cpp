@@ -6,6 +6,7 @@
 
 #include "sa/NetworkBuilder.h"
 
+#include "support/MathExtras.h"
 #include "support/StringUtils.h"
 #include "usl/Interp.h"
 #include "usl/Parser.h"
@@ -90,6 +91,22 @@ bool hasDirectFrameRef(const usl::Expr &E) {
     if (hasDirectFrameRef(*C))
       return true;
   return false;
+}
+
+/// Removes the slots [Lo, Hi) from every range of \p R.
+void subtractRange(usl::SlotRanges &R, int32_t Lo, int32_t Hi) {
+  usl::SlotRanges Out;
+  for (const usl::SlotRange &S : R) {
+    if (S.Hi <= Lo || S.Lo >= Hi) {
+      Out.push_back(S);
+      continue;
+    }
+    if (S.Lo < Lo)
+      Out.push_back({S.Lo, Lo});
+    if (S.Hi > Hi)
+      Out.push_back({Hi, S.Hi});
+  }
+  R = std::move(Out);
 }
 
 } // namespace
@@ -291,12 +308,13 @@ Result<Automaton *> NetworkBuilder::addInstance(const Template &T,
     A->Edges.push_back(std::move(E));
   }
 
-  // Static read set for dirty tracking.
+  // Static read set for dirty tracking, as slot ranges: a dynamically
+  // indexed array read stays one range until the hints below narrow it.
   if (!ReadSets)
     ReadSets = std::make_unique<usl::ReadSetCollector>(Net->Bind.FuncTable);
   else
     ReadSets->refresh();
-  std::vector<int32_t> Reads;
+  usl::SlotRanges Reads;
   for (const Edge &E : A->Edges) {
     if (E.DataGuard)
       ReadSets->collect(*E.DataGuard, Reads);
@@ -328,23 +346,20 @@ Result<Automaton *> NetworkBuilder::addInstance(const Template &T,
     if (ArrBase < 0)
       return Error::failure(Context("read hint references unknown array '" +
                                     HD.Array + "'"));
-    Reads.erase(std::remove_if(Reads.begin(), Reads.end(),
-                               [&](int32_t S) {
-                                 return S >= ArrBase &&
-                                        S < ArrBase + ArrSize;
-                               }),
-                Reads.end());
+    subtractRange(Reads, ArrBase, ArrBase + ArrSize);
+    size_t Before = Reads.size();
     if (HD.isRange()) {
       Result<int64_t> Base = Binder.bindAndFold(*HD.Base);
       Result<int64_t> Count = Binder.bindAndFold(*HD.Count);
       if (!Base.ok() || !Count.ok())
         return Error::failure(Context("read hint bounds must fold at "
                                       "instantiation"));
-      for (int64_t I = 0; I < *Count; ++I) {
-        int64_t Idx = *Base + I;
-        if (Idx >= 0 && Idx < ArrSize)
-          Reads.push_back(static_cast<int32_t>(ArrBase + Idx));
-      }
+      int64_t Lo = std::clamp<int64_t>(*Base, 0, ArrSize);
+      int64_t Hi =
+          std::clamp<int64_t>(saturatingAdd(*Base, *Count), Lo, ArrSize);
+      if (Lo < Hi)
+        Reads.push_back({static_cast<int32_t>(ArrBase + Lo),
+                         static_cast<int32_t>(ArrBase + Hi)});
     } else {
       Result<int64_t> Count = Binder.bindAndFold(*HD.ElemsCount);
       if (!Count.ok())
@@ -362,14 +377,15 @@ Result<Automaton *> NetworkBuilder::addInstance(const Template &T,
            ++I) {
         int64_t Idx = (*Values)[static_cast<size_t>(I)];
         if (Idx >= 0 && Idx < ArrSize)
-          Reads.push_back(static_cast<int32_t>(ArrBase + Idx));
+          Reads.push_back({static_cast<int32_t>(ArrBase + Idx),
+                           static_cast<int32_t>(ArrBase + Idx + 1)});
       }
     }
+    HintEntries += Reads.size() - Before;
   }
 
-  std::sort(Reads.begin(), Reads.end());
-  Reads.erase(std::unique(Reads.begin(), Reads.end()), Reads.end());
-  A->StaticReads = std::move(Reads);
+  usl::normalizeRanges(Reads);
+  A->StaticReads = usl::expandRanges(Reads);
 
   // Record which ConstArrays slot each array parameter was interned at,
   // so post-build passes (core::WindowRebinder) can patch an instance's

@@ -56,6 +56,13 @@ public:
   /// Finalizes and returns the network. The builder must not be reused.
   Result<std::unique_ptr<Network>> finish();
 
+  /// Read-set entries (slot ranges) produced while assembling the
+  /// instances' static read sets: the collector's output plus the hinted
+  /// elements. Grows with the number of reads, not with array sizes.
+  uint64_t readSetEntries() const {
+    return (ReadSets ? ReadSets->entriesProduced() : 0) + HintEntries;
+  }
+
 private:
   Error layoutGlobals();
 
@@ -64,6 +71,8 @@ private:
   std::unique_ptr<usl::Binder> GlobalBinder;
   /// Incremental per-function read-set cache shared by all instances.
   std::unique_ptr<usl::ReadSetCollector> ReadSets;
+  /// Ranges added by read hints, over all instances.
+  uint64_t HintEntries = 0;
   bool GlobalsLaidOut = false;
   bool Finished = false;
 };

@@ -316,6 +316,31 @@ void swa::usl::execStmts(const std::vector<StmtPtr> &Stmts, EvalContext &Ctx,
 // ReadSetCollector
 //===----------------------------------------------------------------------===//
 
+void swa::usl::normalizeRanges(SlotRanges &R) {
+  R.erase(std::remove_if(R.begin(), R.end(),
+                         [](const SlotRange &S) { return S.Lo >= S.Hi; }),
+          R.end());
+  std::sort(R.begin(), R.end(), [](const SlotRange &A, const SlotRange &B) {
+    return A.Lo < B.Lo;
+  });
+  size_t Out = 0;
+  for (const SlotRange &S : R) {
+    if (Out > 0 && S.Lo <= R[Out - 1].Hi)
+      R[Out - 1].Hi = std::max(R[Out - 1].Hi, S.Hi);
+    else
+      R[Out++] = S;
+  }
+  R.resize(Out);
+}
+
+std::vector<int32_t> swa::usl::expandRanges(const SlotRanges &R) {
+  std::vector<int32_t> Slots;
+  for (const SlotRange &S : R)
+    for (int32_t I = S.Lo; I < S.Hi; ++I)
+      Slots.push_back(I);
+  return Slots;
+}
+
 ReadSetCollector::ReadSetCollector(
     const std::vector<const FuncDecl *> &FuncTable)
     : FuncTable(FuncTable) {
@@ -334,35 +359,32 @@ void ReadSetCollector::refresh() {
   while (Changed && ++Guard < 64) {
     Changed = false;
     for (size_t I = Done; I < FuncTable.size(); ++I) {
-      std::vector<int32_t> Slots;
+      SlotRanges Reads;
       if (FuncTable[I]->Body)
-        scanStmt(*FuncTable[I]->Body, Slots);
-      std::sort(Slots.begin(), Slots.end());
-      Slots.erase(std::unique(Slots.begin(), Slots.end()), Slots.end());
-      if (Slots != FuncReads[I]) {
-        FuncReads[I] = std::move(Slots);
+        scanStmt(*FuncTable[I]->Body, Reads);
+      normalizeRanges(Reads);
+      if (Reads != FuncReads[I]) {
+        FuncReads[I] = std::move(Reads);
         Changed = true;
       }
     }
   }
 }
 
-void ReadSetCollector::collect(const Expr &E,
-                               std::vector<int32_t> &Slots) const {
-  scanExpr(E, Slots);
+void ReadSetCollector::collect(const Expr &E, SlotRanges &Reads) {
+  scanExpr(E, Reads);
 }
 
-void ReadSetCollector::collect(const Stmt &S,
-                               std::vector<int32_t> &Slots) const {
-  scanStmt(S, Slots);
+void ReadSetCollector::collect(const Stmt &S, SlotRanges &Reads) {
+  scanStmt(S, Reads);
 }
 
-void ReadSetCollector::scanExpr(const Expr &E,
-                                std::vector<int32_t> &Slots) const {
+void ReadSetCollector::scanExpr(const Expr &E, SlotRanges &Reads) {
+  size_t Before = Reads.size();
   switch (E.Kind) {
   case ExprKind::VarRef:
     if (E.Ref == RefKind::Store)
-      Slots.push_back(E.Slot);
+      Reads.push_back({E.Slot, E.Slot + 1});
     break;
   case ExprKind::Index:
     if (E.Ref == RefKind::Store) {
@@ -370,40 +392,39 @@ void ReadSetCollector::scanExpr(const Expr &E,
       // element (templates can tighten this via read hints).
       Result<int64_t> Idx = foldConst(*E.Children[0]);
       if (Idx.ok() && *Idx >= 0 && *Idx < E.ArraySize) {
-        Slots.push_back(E.Slot + static_cast<int32_t>(*Idx));
+        int32_t Slot = E.Slot + static_cast<int32_t>(*Idx);
+        Reads.push_back({Slot, Slot + 1});
       } else {
-        for (int I = 0; I < E.ArraySize; ++I)
-          Slots.push_back(E.Slot + I);
+        Reads.push_back({E.Slot, E.Slot + E.ArraySize});
       }
     }
     break;
   case ExprKind::Call:
     if (E.FuncIndex >= 0 &&
         static_cast<size_t>(E.FuncIndex) < FuncReads.size()) {
-      const std::vector<int32_t> &FR =
-          FuncReads[static_cast<size_t>(E.FuncIndex)];
-      Slots.insert(Slots.end(), FR.begin(), FR.end());
+      const SlotRanges &FR = FuncReads[static_cast<size_t>(E.FuncIndex)];
+      Reads.insert(Reads.end(), FR.begin(), FR.end());
     }
     break;
   default:
     break;
   }
+  Produced += Reads.size() - Before;
   for (const ExprPtr &C : E.Children)
-    scanExpr(*C, Slots);
+    scanExpr(*C, Reads);
 }
 
-void ReadSetCollector::scanStmt(const Stmt &S,
-                                std::vector<int32_t> &Slots) const {
+void ReadSetCollector::scanStmt(const Stmt &S, SlotRanges &Reads) {
   if (S.Target)
-    scanExpr(*S.Target, Slots);
+    scanExpr(*S.Target, Reads);
   if (S.Value)
-    scanExpr(*S.Value, Slots);
+    scanExpr(*S.Value, Reads);
   if (S.Cond)
-    scanExpr(*S.Cond, Slots);
+    scanExpr(*S.Cond, Reads);
   if (S.Then)
-    scanStmt(*S.Then, Slots);
+    scanStmt(*S.Then, Reads);
   if (S.Else)
-    scanStmt(*S.Else, Slots);
+    scanStmt(*S.Else, Reads);
   for (const StmtPtr &B : S.Body)
-    scanStmt(*B, Slots);
+    scanStmt(*B, Reads);
 }

@@ -62,15 +62,37 @@ int64_t evalExpr(const Expr &E, EvalContext &Ctx, size_t FrameBase);
 void execStmts(const std::vector<StmtPtr> &Stmts, EvalContext &Ctx,
                size_t FrameBase);
 
+/// A half-open range [Lo, Hi) of store slots.
+struct SlotRange {
+  int32_t Lo = 0;
+  int32_t Hi = 0;
+
+  bool operator==(const SlotRange &O) const {
+    return Lo == O.Lo && Hi == O.Hi;
+  }
+};
+
+/// A set of store slots as ranges. Normalized form: sorted, non-empty,
+/// and neither overlapping nor adjacent.
+using SlotRanges = std::vector<SlotRange>;
+
+/// Brings \p R into normalized form.
+void normalizeRanges(SlotRanges &R);
+
+/// The ascending slot list that normalized \p R covers.
+std::vector<int32_t> expandRanges(const SlotRanges &R);
+
 /// Computes, per function of a (growing) function table, the set of store
 /// slots it may transitively read. Used to build the simulator's variable
-/// watch lists. Array accesses with constant indices contribute a single
-/// slot; dynamic indices conservatively contribute the whole array.
+/// watch lists. Array accesses with constant in-range indices contribute
+/// a single slot; other indices conservatively contribute the whole array
+/// as one range, so a read set's size depends on the number of reads, not
+/// on array sizes.
 ///
 /// The collector is incremental: refresh() processes only functions added
 /// to the table since the last call (running the recursion fixpoint over
 /// that suffix), so per-instance cost during network construction stays
-/// proportional to the instance's own functions.
+/// proportional to the size of the instance's own functions.
 class ReadSetCollector {
 public:
   explicit ReadSetCollector(const std::vector<const FuncDecl *> &FuncTable);
@@ -78,17 +100,22 @@ public:
   /// Processes newly appended functions.
   void refresh();
 
-  /// Adds every store slot \p E may read to \p Slots (deduplicated set
-  /// semantics are the caller's concern; slots may repeat).
-  void collect(const Expr &E, std::vector<int32_t> &Slots) const;
-  void collect(const Stmt &S, std::vector<int32_t> &Slots) const;
+  /// Appends ranges covering every store slot \p E may read to \p Reads,
+  /// which is left unnormalized.
+  void collect(const Expr &E, SlotRanges &Reads);
+  void collect(const Stmt &S, SlotRanges &Reads);
+
+  /// Ranges appended so far, by refresh() and collect() together.
+  uint64_t entriesProduced() const { return Produced; }
 
 private:
-  void scanExpr(const Expr &E, std::vector<int32_t> &Slots) const;
-  void scanStmt(const Stmt &S, std::vector<int32_t> &Slots) const;
+  void scanExpr(const Expr &E, SlotRanges &Reads);
+  void scanStmt(const Stmt &S, SlotRanges &Reads);
 
   const std::vector<const FuncDecl *> &FuncTable;
-  std::vector<std::vector<int32_t>> FuncReads;
+  /// Normalized read set of each processed function.
+  std::vector<SlotRanges> FuncReads;
+  uint64_t Produced = 0;
 };
 
 } // namespace usl

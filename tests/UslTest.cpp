@@ -393,10 +393,10 @@ TEST(Interp, ReadSetCollectorSeesThroughCalls) {
   ASSERT_TRUE(Bound.ok()) << Bound.error().message();
 
   ReadSetCollector RSC(F.Target.FuncTable);
-  std::vector<int32_t> Slots;
-  RSC.collect(**Bound, Slots);
-  std::sort(Slots.begin(), Slots.end());
-  Slots.erase(std::unique(Slots.begin(), Slots.end()), Slots.end());
+  SlotRanges Reads;
+  RSC.collect(**Bound, Reads);
+  normalizeRanges(Reads);
+  std::vector<int32_t> Slots = expandRanges(Reads);
   // a is slot 0; b occupies slots 1..2; the dynamic index makes both b
   // slots count.
   EXPECT_EQ(Slots, (std::vector<int32_t>{0, 1, 2}));
