@@ -14,9 +14,6 @@
 //                     [--checkpoint FILE] [--checkpoint-every-ms MS]
 //                     [--resume] [--trace-out FILE] [--report-out FILE]
 //                     [--strategy NAME]
-//                     [--fleet N] [--portfolio S1,S2,..] [--fleet-dir DIR]
-//                     [--fleet-threads N] [--fleet-fallback-ms MS]
-//                     [--fleet-in-process]
 //
 // --workers evaluates candidate batches on N threads; the result is
 // byte-identical for every N. --budget-ms caps each candidate's
@@ -40,19 +37,6 @@
 // typed error and the search starts cold — never a wrong answer.
 //
 // --strategy picks the metaheuristic (local | annealing | genetic).
-// --fleet N runs the search as a fleet of N sharded worker processes on
-// a shared verdict exchange (--fleet-dir, default ./fleet_exchange):
-// every worker replays the full deterministic loop but simulates only
-// its share of each round's work items, adopting the rest from its
-// peers — the printed result is byte-identical to the single-process
-// run for any N. --portfolio races one worker per named strategy on the
-// shared exchange instead and reports the first/best finisher.
-// --fleet-threads sets each worker's thread count, --fleet-in-process
-// runs workers as threads of this process instead of spawned processes
-// (faster to start; no crash tolerance). In fleet mode workers
-// checkpoint into the exchange directory and --resume continues an
-// interrupted fleet. The hidden --fleet-worker/--fleet-shard flags are
-// how the coordinator invokes this binary as a worker.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +46,6 @@
 #include "obs/RunReport.h"
 #include "obs/Span.h"
 #include "schedtool/ConfigSearch.h"
-#include "schedtool/FleetSearch.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
 
@@ -72,43 +55,10 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
 
 using namespace swa;
 
-// The search's deliverable, shared by the solo and fleet paths: the
-// schedulable binding + windows, or nothing when the search failed.
-static void printChosen(const schedtool::SearchResult &Res) {
-  if (!Res.Found)
-    return;
-  std::printf("\nchosen binding and windows:\n");
-  for (size_t P = 0; P < Res.Best.Partitions.size(); ++P) {
-    const cfg::Partition &Part = Res.Best.Partitions[P];
-    std::printf("  %-10s -> core %s, windows:", Part.Name.c_str(),
-                Res.Best.Cores[static_cast<size_t>(Part.Core)].Name.c_str());
-    for (const cfg::Window &W : Part.Windows)
-      std::printf(" [%lld,%lld)", static_cast<long long>(W.Start),
-                  static_cast<long long>(W.End));
-    std::printf("\n");
-  }
-}
-
 int main(int argc, char **argv) {
-  // Fleet-worker dispatch: when the coordinator spawned us, run the
-  // assigned shard and nothing else (the manifest carries the problem).
-  {
-    const char *WorkerDir = nullptr;
-    int WorkerShard = -1;
-    for (int I = 1; I < argc; ++I) {
-      if (std::strcmp(argv[I], "--fleet-worker") == 0 && I + 1 < argc)
-        WorkerDir = argv[I + 1];
-      else if (std::strcmp(argv[I], "--fleet-shard") == 0 && I + 1 < argc)
-        WorkerShard = std::atoi(argv[I + 1]);
-    }
-    if (WorkerDir)
-      return schedtool::runFleetWorker(WorkerDir, WorkerShard);
-  }
-
   uint64_t Seed = 7;
   int Workers = 1;
   int64_t BudgetMs = -1;
@@ -119,12 +69,6 @@ int main(int argc, char **argv) {
   int64_t CheckpointEveryMs = 0;
   bool Resume = false;
   std::string StrategyName;
-  int FleetN = 0;
-  std::vector<std::string> Portfolio;
-  const char *FleetDir = "fleet_exchange";
-  int FleetThreads = 0;
-  int64_t FleetFallbackMs = 2000;
-  bool FleetInProcess = false;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--workers") == 0 && I + 1 < argc)
       Workers = std::atoi(argv[++I]);
@@ -153,27 +97,6 @@ int main(int argc, char **argv) {
       ReportOut = argv[++I];
     else if (std::strcmp(argv[I], "--strategy") == 0 && I + 1 < argc)
       StrategyName = argv[++I];
-    else if (std::strcmp(argv[I], "--fleet") == 0 && I + 1 < argc)
-      FleetN = std::atoi(argv[++I]);
-    else if (std::strcmp(argv[I], "--portfolio") == 0 && I + 1 < argc) {
-      std::string List = argv[++I];
-      size_t Pos = 0;
-      while (Pos <= List.size()) {
-        size_t Comma = List.find(',', Pos);
-        if (Comma == std::string::npos)
-          Comma = List.size();
-        if (Comma > Pos)
-          Portfolio.push_back(List.substr(Pos, Comma - Pos));
-        Pos = Comma + 1;
-      }
-    } else if (std::strcmp(argv[I], "--fleet-dir") == 0 && I + 1 < argc)
-      FleetDir = argv[++I];
-    else if (std::strcmp(argv[I], "--fleet-threads") == 0 && I + 1 < argc)
-      FleetThreads = std::atoi(argv[++I]);
-    else if (std::strcmp(argv[I], "--fleet-fallback-ms") == 0 && I + 1 < argc)
-      FleetFallbackMs = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--fleet-in-process") == 0)
-      FleetInProcess = true;
     else
       Seed = std::strtoull(argv[I], nullptr, 10);
   }
@@ -224,71 +147,6 @@ int main(int argc, char **argv) {
       return 1;
     }
     Problem.Strat = Strat.get();
-  }
-
-  if (FleetN > 1 || !Portfolio.empty()) {
-    schedtool::FleetProblem FP;
-    FP.Problem = Problem;
-    if (FleetThreads > 0)
-      FP.Problem.Workers = FleetThreads;
-    FP.Shards = FleetN > 1 ? FleetN : static_cast<int>(Portfolio.size());
-    FP.M = Portfolio.empty() ? schedtool::FleetProblem::Mode::Shard
-                             : schedtool::FleetProblem::Mode::Portfolio;
-    FP.Strategies = Portfolio;
-    if (Portfolio.empty() && !StrategyName.empty())
-      FP.Strategies.push_back(StrategyName);
-    FP.ExchangeDir = FleetDir;
-    FP.FallbackMs = FleetFallbackMs;
-    FP.CheckpointEveryMs = CheckpointEveryMs;
-    FP.Resume = Resume;
-    if (!FleetInProcess)
-      FP.WorkerCommand = {argv[0]};
-
-    std::printf("fleet: %d %s shard(s), exchange dir %s, %s backend\n",
-                FP.Shards,
-                FP.M == schedtool::FleetProblem::Mode::Portfolio
-                    ? "portfolio"
-                    : "sharded",
-                FP.ExchangeDir.c_str(),
-                FleetInProcess ? "in-process" : "process");
-    auto F0 = std::chrono::steady_clock::now();
-    Result<schedtool::FleetResult> Fleet = schedtool::runFleetSearch(FP);
-    double FleetSec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - F0)
-            .count();
-    if (!Fleet.ok()) {
-      std::fprintf(stderr, "error: %s\n", Fleet.error().message().c_str());
-      return 1;
-    }
-    for (size_t I = 0; I < Fleet->ShardResults.size(); ++I) {
-      const schedtool::SearchResult &R = Fleet->ShardResults[I];
-      std::printf("  shard %zu [%s]: %s after %d candidates\n", I,
-                  Fleet->ShardStrategies[I].c_str(),
-                  R.Found ? "found" : "not found",
-                  R.ConfigurationsEvaluated);
-    }
-    if (Fleet->Restarts > 0)
-      std::printf("fleet: %d worker restart(s)\n", Fleet->Restarts);
-    const schedtool::SearchResult &R = Fleet->Res;
-    std::printf("fleet: winner shard %d [%s]; evaluated %d configurations; "
-                "%s (%.2fs)\n",
-                Fleet->WinnerShard, Fleet->WinnerStrategy.c_str(),
-                R.ConfigurationsEvaluated,
-                R.Found ? "found a schedulable one"
-                        : "no schedulable configuration found",
-                FleetSec);
-    if (ReportOut) {
-      obs::RunReport Report("config_search_fleet");
-      schedtool::fillSearchReport(Report, R, FleetSec);
-      std::string Err;
-      if (!Report.writeFile(ReportOut, Err)) {
-        std::fprintf(stderr, "error: %s\n", Err.c_str());
-        return 1;
-      }
-      std::printf("report: %s\n", ReportOut);
-    }
-    printChosen(R);
-    return R.Found ? 0 : 2;
   }
 
   // Durable search: load the previous checkpoint when asked, and degrade
@@ -416,6 +274,18 @@ int main(int argc, char **argv) {
     std::printf("report: %s\n", ReportOut);
   }
 
-  printChosen(*Res);
+  if (Res->Found) {
+    std::printf("\nchosen binding and windows:\n");
+    for (size_t P = 0; P < Res->Best.Partitions.size(); ++P) {
+      const cfg::Partition &Part = Res->Best.Partitions[P];
+      std::printf("  %-10s -> core %s, windows:", Part.Name.c_str(),
+                  Res->Best.Cores[static_cast<size_t>(Part.Core)]
+                      .Name.c_str());
+      for (const cfg::Window &W : Part.Windows)
+        std::printf(" [%lld,%lld)", static_cast<long long>(W.Start),
+                    static_cast<long long>(W.End));
+      std::printf("\n");
+    }
+  }
   return Res->Found ? 0 : 2;
 }

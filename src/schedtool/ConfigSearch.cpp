@@ -13,7 +13,6 @@
 #include "obs/Metrics.h"
 #include "obs/Span.h"
 #include "obs/Timer.h"
-#include "schedtool/Exchange.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
 #include "schedtool/VerdictCache.h"
@@ -29,7 +28,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 using namespace swa;
@@ -319,7 +317,7 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
   SearchResult Res;
   Rng R(Problem.Seed);
 
-  // The metaheuristic: explicit (portfolio worker) or the built-in local
+  // The metaheuristic: explicit (Problem.Strat) or the built-in local
   // search, which reproduces the historical loop draw for draw.
   std::unique_ptr<Strategy> DefaultStrat;
   Strategy *Strat = Problem.Strat;
@@ -1039,146 +1037,7 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
       }
     };
 
-    if (!Problem.Ex) {
-      Pool.parallelFor(static_cast<int>(Items.size()), RunItem);
-    } else {
-      // Fleet exchange (Exchange.h). An item's verdict can come from a
-      // peer's publication instead of a local simulation; since the
-      // simulator is deterministic, the fetched verdict equals the one
-      // RunItem would compute, and since every SearchResult statistic
-      // was fixed on the serial consult/planning path above, swapping
-      // execution for a fetch is observationally invisible — the result
-      // stays byte-identical to the exchange-free run.
-      //
-      // Exchangeable items are those a peer publishes under a cache key:
-      // monolithic and capped-chain items under the candidate's config
-      // fingerprint (the whole-config cache already equates a merged
-      // chain verdict with the monolithic one — see the insert on the
-      // assembly path below), unique components under their component
-      // fingerprint. Per-component items (decomposition without early
-      // exit or component cache) have no cache line of their own and are
-      // executed by every shard; likewise config-level items when the
-      // verdict cache is off (no fingerprints were computed).
-      Exchange &Ex = *Problem.Ex;
-      struct ExKey {
-        char Kind = 0; // 0 = not exchangeable, 1 = config, 2 = component
-        cfg::Fingerprint Canon, Raw;
-      };
-      std::vector<ExKey> Keys(Items.size());
-      for (size_t I = 0; I < Items.size(); ++I) {
-        const WorkItem &It = Items[I];
-        if (It.Comp == WorkItem::kUniqueComp) {
-          const UniqueSim &U = UniqueSims[static_cast<size_t>(It.Unique)];
-          Keys[I] = {2, U.Canon, U.Raw};
-        } else if ((It.Comp == WorkItem::kMonolithic ||
-                    It.Comp == WorkItem::kCappedChain) &&
-                   Problem.UseVerdictCache) {
-          Keys[I] = {1, Canon[static_cast<size_t>(It.Cand)],
-                     Raw[static_cast<size_t>(It.Cand)]};
-        }
-      }
-      auto FetchInto = [&](size_t I) -> bool {
-        const ExKey &K = Keys[I];
-        const analysis::VerdictOutcome *V = nullptr;
-        if (K.Kind == 1) {
-          if (const VerdictCache::Entry *E = Ex.fetchConfig(K.Canon))
-            V = &E->Verdict;
-        } else if (K.Kind == 2) {
-          if (const VerdictCache::ComponentEntry *E =
-                  Ex.fetchComponent(K.Canon))
-            V = &E->Verdict;
-        }
-        if (!V)
-          return false;
-        Eval &E = ItemEvals[I];
-        E.Ok = true;
-        E.V = *V;
-        return true;
-      };
-      auto RecordItem = [&](size_t I) {
-        const ExKey &K = Keys[I];
-        const Eval &E = ItemEvals[I];
-        if (!E.Ok)
-          return; // errors and undecided verdicts are never published
-        if (K.Kind == 1)
-          Ex.recordConfig(K.Canon, K.Raw, E.V);
-        else if (K.Kind == 2)
-          Ex.recordComponent(K.Canon, K.Raw, E.V);
-      };
-      if (Ex.mode() == Exchange::Mode::Shard) {
-        // Deterministic ownership split: planning is serial, so every
-        // shard sees the identical item list and computes the identical
-        // partition. Own items run locally and are published; foreign
-        // items are awaited (bounded), then recomputed locally as the
-        // liveness fallback — a slow or SIGKILLed peer costs wall-clock,
-        // never a different verdict.
-        std::vector<int> Owned, Foreign;
-        for (size_t I = 0; I < Items.size(); ++I)
-          if (Keys[I].Kind == 0 || Ex.ownsItem(Round, static_cast<int>(I)))
-            Owned.push_back(static_cast<int>(I));
-          else
-            Foreign.push_back(static_cast<int>(I));
-        Ex.Stats.ItemsOwned += Owned.size();
-        Pool.parallelFor(static_cast<int>(Owned.size()), [&](int K) {
-          RunItem(Owned[static_cast<size_t>(K)]);
-        });
-        for (int I : Owned)
-          RecordItem(static_cast<size_t>(I));
-        Ex.publish();
-        std::vector<int> Pending = std::move(Foreign);
-        auto Deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(Ex.FallbackMs);
-        while (!Pending.empty()) {
-          Ex.refresh();
-          size_t W = 0;
-          for (int I : Pending) {
-            if (FetchInto(static_cast<size_t>(I)))
-              ++Ex.Stats.ItemsFetched;
-            else
-              Pending[W++] = I;
-          }
-          Pending.resize(W);
-          if (Pending.empty() ||
-              (Problem.Cancel && Problem.Cancel->isCancelled()) ||
-              std::chrono::steady_clock::now() >= Deadline)
-            break;
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          Ex.Stats.WaitMs += 2;
-        }
-        if (!Pending.empty()) {
-          // Fallback: simulate the unresolved foreign items here, and
-          // publish them too — if their owner died, this shard's work
-          // keeps the survivors from each paying the same fallback.
-          Ex.Stats.FallbackSimulations += Pending.size();
-          Pool.parallelFor(static_cast<int>(Pending.size()), [&](int K) {
-            RunItem(Pending[static_cast<size_t>(K)]);
-          });
-          for (int I : Pending)
-            RecordItem(static_cast<size_t>(I));
-          Ex.publish();
-        }
-      } else {
-        // Share mode (racing portfolio): every item belongs to this
-        // worker, but a verdict some peer already published is adopted
-        // instead of simulated. The side cache is refreshed serially
-        // here and only read inside the parallelFor (write-once,
-        // node-stable entries), so the loop stays race-free.
-        Ex.refresh();
-        std::vector<char> Fetched(Items.size(), 0);
-        Pool.parallelFor(static_cast<int>(Items.size()), [&](int I) {
-          if (FetchInto(static_cast<size_t>(I)))
-            Fetched[static_cast<size_t>(I)] = 1;
-          else
-            RunItem(I);
-        });
-        for (size_t I = 0; I < Items.size(); ++I)
-          if (Fetched[I])
-            ++Ex.Stats.ItemsFetched;
-          else
-            RecordItem(I);
-        Ex.publish();
-      }
-    }
+    Pool.parallelFor(static_cast<int>(Items.size()), RunItem);
 
     // Fill the component cache from the round's unique sims, in order of
     // first need — like the whole-config fills, a serial-path fact.

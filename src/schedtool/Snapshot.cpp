@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <unordered_map>
 
 using namespace swa;
 using namespace swa::schedtool;
@@ -400,16 +399,6 @@ bool decodeSearchState(Dec &D, Snapshot &S) {
   return D.consumed();
 }
 
-/// Field-wise equality of the decision fields two snapshots must agree
-/// on for one fingerprint (ActionCount may differ between an early-exit
-/// and a capped run — same rule as VerdictCache's debug assert).
-bool sameDecision(const analysis::VerdictOutcome &A,
-                  const analysis::VerdictOutcome &B) {
-  return A.Schedulable == B.Schedulable && A.Stop == B.Stop &&
-         A.FirstMissTime == B.FirstMissTime &&
-         A.FirstMissTasks == B.FirstMissTasks;
-}
-
 Error corrupt(const std::string &What) {
   return Error::failure(ErrorCode::SnapshotCorrupt, What);
 }
@@ -626,81 +615,6 @@ Result<Snapshot> schedtool::loadSnapshot(const std::string &Path,
   return S;
 }
 
-Error schedtool::mergeSnapshots(Snapshot &Dst, const Snapshot &Src,
-                                SnapshotStats *Stats) {
-  // Stage everything, commit only when the whole merge validated.
-  auto MergeEntries =
-      [](const std::vector<Snapshot::CacheRecord> &DstE,
-         const std::vector<Snapshot::CacheRecord> &SrcE,
-         std::vector<Snapshot::CacheRecord> &Fresh) -> Error {
-    std::unordered_map<cfg::Fingerprint, const Snapshot::CacheRecord *,
-                       cfg::FingerprintHash>
-        Index;
-    Index.reserve(DstE.size());
-    for (const Snapshot::CacheRecord &R : DstE)
-      Index.emplace(R.Canon, &R);
-    for (const Snapshot::CacheRecord &R : SrcE) {
-      auto It = Index.find(R.Canon);
-      if (It == Index.end()) {
-        Fresh.push_back(R);
-        continue;
-      }
-      if (!sameDecision(It->second->Verdict, R.Verdict))
-        return Error::failure(
-            ErrorCode::SnapshotMismatch,
-            formatString("conflicting verdicts for fingerprint %016llx%016llx "
-                         "- snapshots are not from the same problem universe",
-                         static_cast<unsigned long long>(R.Canon.Hi),
-                         static_cast<unsigned long long>(R.Canon.Lo)));
-    }
-    return Error::success();
-  };
-
-  std::vector<Snapshot::CacheRecord> FreshCfg, FreshComp;
-  if (Error E = MergeEntries(Dst.ConfigEntries, Src.ConfigEntries, FreshCfg))
-    return E;
-  if (Error E =
-          MergeEntries(Dst.ComponentEntries, Src.ComponentEntries, FreshComp))
-    return E;
-
-  bool AdoptState = false;
-  if (Src.HasSearchState) {
-    if (!Dst.HasSearchState) {
-      AdoptState = true;
-    } else {
-      if (Dst.Seed != Src.Seed || Dst.BatchSize != Src.BatchSize ||
-          Dst.BaseCrc != Src.BaseCrc)
-        return Error::failure(ErrorCode::SnapshotMismatch,
-                              "cannot merge search states of two different "
-                              "searches (seed/batch/base differ)");
-      AdoptState = Src.Iter > Dst.Iter;
-    }
-  }
-
-  // Commit.
-  Dst.ConfigEntries.insert(Dst.ConfigEntries.end(), FreshCfg.begin(),
-                           FreshCfg.end());
-  Dst.ComponentEntries.insert(Dst.ComponentEntries.end(), FreshComp.begin(),
-                              FreshComp.end());
-  if (AdoptState) {
-    Dst.HasSearchState = true;
-    Dst.Seed = Src.Seed;
-    Dst.BatchSize = Src.BatchSize;
-    Dst.BaseCrc = Src.BaseCrc;
-    Dst.NextRound = Src.NextRound;
-    Dst.Iter = Src.Iter;
-    Dst.RngState = Src.RngState;
-    Dst.Current = Src.Current;
-    Dst.Boost = Src.Boost;
-    Dst.Res = Src.Res;
-  }
-  if (Stats) {
-    Stats->ConfigEntriesMerged += FreshCfg.size();
-    Stats->ComponentEntriesMerged += FreshComp.size();
-  }
-  return Error::success();
-}
-
 void schedtool::fillSnapshotReport(obs::RunReport &Report,
                                    const SnapshotStats &Stats) {
   Report.addCount("snapshot.written", Stats.SnapshotsWritten);
@@ -711,21 +625,4 @@ void schedtool::fillSnapshotReport(obs::RunReport &Report,
                   Stats.ConfigEntriesMerged + Stats.ComponentEntriesMerged);
   Report.addCount("snapshot.write_failures", Stats.WriteFailures);
   Report.addCount("verdict_cache.snapshot_hits", Stats.SnapshotHits);
-}
-
-void schedtool::encodeConfigBytes(const cfg::Config &C, std::string &Out) {
-  Enc E;
-  encodeConfig(E, C);
-  Out.append(E.bytes());
-}
-
-bool schedtool::decodeConfigBytes(const std::string &Data, cfg::Config &C) {
-  Dec D(Data.data(), Data.size());
-  return decodeConfig(D, C) && D.consumed();
-}
-
-std::string schedtool::encodeSearchResultBytes(const SearchResult &Res) {
-  Enc E;
-  encodeSearchResult(E, Res);
-  return E.bytes();
 }

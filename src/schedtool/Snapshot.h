@@ -55,17 +55,16 @@ namespace swa {
 namespace schedtool {
 
 /// Counters describing checkpoint/snapshot traffic of one run. Filled by
-/// saveSnapshot/loadSnapshot/mergeSnapshots and by the search's
-/// checkpoint loop (SearchProblem::CkptStats). Deliberately *not* part
-/// of SearchResult: checkpoint cadence is wall-clock dependent, and
-/// SearchResult must stay byte-identical whether or not (and how often)
-/// a run checkpoints.
+/// saveSnapshot/loadSnapshot and by the search's checkpoint loop
+/// (SearchProblem::CkptStats). Deliberately *not* part of SearchResult:
+/// checkpoint cadence is wall-clock dependent, and SearchResult must
+/// stay byte-identical whether or not (and how often) a run checkpoints.
 struct SnapshotStats {
   uint64_t SnapshotsWritten = 0;
   uint64_t SnapshotsLoaded = 0;
   uint64_t BytesWritten = 0;
   uint64_t BytesLoaded = 0;
-  /// Entries adopted from loaded/merged snapshots (config + component).
+  /// Entries adopted from a resumed snapshot (config + component).
   uint64_t ConfigEntriesMerged = 0;
   uint64_t ComponentEntriesMerged = 0;
   /// Cache hits served by warm-from-disk entries during the search.
@@ -78,8 +77,8 @@ struct SnapshotStats {
 
 /// The in-memory image of a snapshot file.
 struct Snapshot {
-  /// Version 2 (PR 10): the search-state payload gained the strategy
-  /// name + opaque strategy state (portfolio metaheuristics resume
+  /// Version 2: the search-state payload gained the strategy name +
+  /// opaque strategy state (stateful metaheuristics resume
   /// mid-stream). Version 1 files are rejected with a typed skew error
   /// and degrade to a cold start, per the reader contract above.
   static constexpr uint32_t FormatVersion = 2;
@@ -94,7 +93,7 @@ struct Snapshot {
   std::vector<CacheRecord> ComponentEntries;
 
   /// Search-in-progress state. Absent (false) when the snapshot is a
-  /// pure cache export — e.g. a fleet member publishing verdicts.
+  /// pure cache export that only pre-warms a verdict cache.
   bool HasSearchState = false;
   /// Identity guard: a snapshot resumes only the (seed, batch, base
   /// config) search that wrote it. BaseCrc is the CRC32 of the encoded
@@ -151,38 +150,10 @@ Error saveSnapshot(const Snapshot &S, const std::string &Path,
 Result<Snapshot> loadSnapshot(const std::string &Path,
                               SnapshotStats *Stats = nullptr);
 
-/// Merges \p Src into \p Dst: cache entries are unioned (Dst wins on a
-/// duplicate key; a duplicate whose *verdict decision differs* is a
-/// typed SnapshotMismatch error — the two snapshots cannot be from the
-/// same fingerprint universe), and Dst adopts Src's search state when
-/// Dst has none or Src has progressed further (greater Iter) — in which
-/// case both must carry the same identity triple (Seed, BatchSize,
-/// BaseCrc), else SnapshotMismatch. On error \p Dst is unchanged.
-/// \p Stats (when non-null) accrues *EntriesMerged.
-Error mergeSnapshots(Snapshot &Dst, const Snapshot &Src,
-                     SnapshotStats *Stats = nullptr);
-
 /// Adds the durable-search counters of \p Stats to \p Report under the
 /// snapshot.* keys (the warm-hit count under verdict_cache.snapshot_hits,
 /// matching the obs counter of the same name).
 void fillSnapshotReport(obs::RunReport &Report, const SnapshotStats &Stats);
-
-/// Appends the canonical little-endian wire encoding of \p C to \p Out —
-/// the exact byte stream snapshotBaseCrc hashes. The fleet manifest
-/// (FleetSearch.cpp) embeds configs with it so a worker process rebuilds
-/// the coordinator's SearchProblem bit-for-bit.
-void encodeConfigBytes(const cfg::Config &C, std::string &Out);
-
-/// Decodes a config encoded by encodeConfigBytes (the whole buffer must
-/// be consumed). Returns false on any malformed input, leaving \p C
-/// unspecified.
-bool decodeConfigBytes(const std::string &Data, cfg::Config &C);
-
-/// The canonical wire encoding of a SearchResult — every field,
-/// including log and trajectory. Two results are byte-identical exactly
-/// when these strings are equal; the fleet coordinator's shard-equality
-/// check is literal comparison of them.
-std::string encodeSearchResultBytes(const SearchResult &Res);
 
 } // namespace schedtool
 } // namespace swa

@@ -16,13 +16,16 @@
 //
 // Plus the degraded modes: warm cache-only start, a snapshot from a
 // different search (typed SnapshotMismatch), and an unwritable
-// checkpoint path (search result unaffected).
+// checkpoint path (search result unaffected); and the stateful-strategy
+// rules: a checkpoint resumes only under the strategy that wrote it,
+// and an annealing search resumes byte-identically.
 //
 //===----------------------------------------------------------------------===//
 
 #include "gen/Workload.h"
 #include "schedtool/ConfigSearch.h"
 #include "schedtool/Snapshot.h"
+#include "schedtool/Strategy.h"
 #include "support/AtomicFile.h"
 
 #include <gtest/gtest.h>
@@ -376,6 +379,74 @@ TEST(DurableSearch, UnwritableCheckpointPathNeverChangesTheResult) {
   EXPECT_EQ(Stats.SnapshotsWritten, 0u);
   EXPECT_EQ(Stats.WriteFailures, static_cast<uint64_t>(kCheckpoints));
   EXPECT_FALSE(Stats.LastError.empty());
+}
+
+TEST(DurableSearch, ResumeUnderDifferentStrategyIsTypedMismatch) {
+  // A checkpoint records the strategy that wrote it: resuming an
+  // annealing checkpoint under the genetic strategy would replay a
+  // foreign candidate stream, so it is a typed rejection.
+  std::string Path = testing::TempDir() + "swa_durable_strategy_swap.bin";
+  std::remove(Path.c_str());
+  SearchProblem P = hardProblem();
+  std::unique_ptr<Strategy> Ann = makeStrategy("annealing");
+  P.Strat = Ann.get();
+  P.CheckpointPath = Path;
+  ASSERT_TRUE(searchConfiguration(P).ok());
+
+  auto L = loadSnapshot(Path);
+  ASSERT_TRUE(L.ok()) << L.error().message();
+  EXPECT_EQ(L->StrategyName, "annealing");
+
+  std::unique_ptr<Strategy> Gen = makeStrategy("genetic");
+  P.Strat = Gen.get();
+  P.CheckpointPath.clear();
+  P.Resume = &L.value();
+  auto R = searchConfiguration(P);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().code(), ErrorCode::SnapshotMismatch);
+  std::remove(Path.c_str());
+}
+
+TEST(DurableSearch, AnnealingResumeIsByteIdentical) {
+  // The stateful-strategy counterpart of the kill grid: stop an
+  // annealing search after 2 of its 8 rounds, resume from the terminal
+  // checkpoint, and the final result matches the uninterrupted run — the
+  // temperature ladder and accepted badness resume, not reset. On this
+  // base the walk rejects worsening rounds, so it departs from local
+  // search and a reset ladder would change the result.
+  std::string Path = testing::TempDir() + "swa_durable_anneal.bin";
+  std::remove(Path.c_str());
+  SearchProblem P = hardProblem();
+  P.Base = unboundProblem(0.8, 6);
+  P.MaxIterations = 32;
+  std::unique_ptr<Strategy> A1 = makeStrategy("annealing");
+  P.Strat = A1.get();
+  auto Baseline = searchConfiguration(P);
+  ASSERT_TRUE(Baseline.ok()) << Baseline.error().message();
+  SearchProblem Local = P;
+  Local.Strat = nullptr;
+  auto LocalRes = searchConfiguration(Local);
+  ASSERT_TRUE(LocalRes.ok()) << LocalRes.error().message();
+  ASSERT_NE(Baseline->Log, LocalRes->Log)
+      << "annealing never rejected a round; the resume check is vacuous";
+
+  SearchProblem Half = P;
+  Half.MaxIterations = 8;
+  std::unique_ptr<Strategy> A2 = makeStrategy("annealing");
+  Half.Strat = A2.get();
+  Half.CheckpointPath = Path;
+  ASSERT_TRUE(searchConfiguration(Half).ok());
+
+  auto L = loadSnapshot(Path);
+  ASSERT_TRUE(L.ok()) << L.error().message();
+  SearchProblem Rest = P;
+  std::unique_ptr<Strategy> A3 = makeStrategy("annealing");
+  Rest.Strat = A3.get();
+  Rest.Resume = &L.value();
+  auto Resumed = searchConfiguration(Rest);
+  ASSERT_TRUE(Resumed.ok()) << Resumed.error().message();
+  expectIdenticalResult(*Baseline, *Resumed);
+  std::remove(Path.c_str());
 }
 
 int main(int argc, char **argv) {

@@ -7,6 +7,7 @@
 #include "analysis/Analyzer.h"
 #include "gen/Workload.h"
 #include "schedtool/ConfigSearch.h"
+#include "schedtool/Strategy.h"
 #include "tests/TestConfigs.h"
 
 #include <gtest/gtest.h>
@@ -165,6 +166,37 @@ TEST(Search, ResultIndependentOfWorkerCount) {
       expectSameResult(*Serial, *Parallel);
     }
   }
+}
+
+TEST(Search, EveryStrategyIsDeterministic) {
+  // Each metaheuristic is a pure function of its RNG draws: two runs of
+  // the same problem under one strategy give the same SearchResult. Over
+  // 32 iterations genetic (which needs a filled population) departs from
+  // local, so the check is not satisfied by one shared trajectory.
+  SearchProblem Problem;
+  Problem.Base = unboundProblem(0.8, 4);
+  Problem.Seed = 4;
+  Problem.MaxIterations = 32;
+  std::vector<SearchResult> PerStrategy;
+  for (const char *Name : {"local", "annealing", "genetic"}) {
+    std::unique_ptr<Strategy> S1 = makeStrategy(Name);
+    std::unique_ptr<Strategy> S2 = makeStrategy(Name);
+    ASSERT_TRUE(S1 && S2) << Name;
+    Problem.Strat = S1.get();
+    auto A = searchConfiguration(Problem);
+    Problem.Strat = S2.get();
+    auto B = searchConfiguration(Problem);
+    ASSERT_TRUE(A.ok()) << Name << ": " << A.error().message();
+    ASSERT_TRUE(B.ok()) << Name << ": " << B.error().message();
+    expectSameResult(*A, *B);
+    EXPECT_EQ(A->CacheHits, B->CacheHits) << Name;
+    EXPECT_EQ(A->ComponentsSimulated, B->ComponentsSimulated) << Name;
+    EXPECT_EQ(A->SimulationsRun, B->SimulationsRun) << Name;
+    EXPECT_EQ(A->StopReasonCounts, B->StopReasonCounts) << Name;
+    PerStrategy.push_back(std::move(*A));
+  }
+  EXPECT_NE(PerStrategy[0].Log, PerStrategy[2].Log)
+      << "local and genetic explored the same candidates";
 }
 
 TEST(Search, BudgetFiresAndSearchStillTerminates) {
