@@ -178,14 +178,14 @@ BENCHMARK(BM_SearchUnschedulable)
 // window shares misalign with the longer-period tasks' release times,
 // so no boost assignment the search reaches is schedulable — seed 27
 // runs all 120 rounds without a find, with first misses at t = L/2 or
-// t = L. A boost resample dirties one core's component and leaves the
+// t = L. A boost resample changes one core's component and leaves the
 // other three byte-identical to the round base, so with the incremental
 // layers on most components replay from the component cache (the hit
 // rate climbs toward ~50% as the neighborhood revisits window splits)
 // and the rest rebind an arena instance instead of rebuilding. Arg 0
-// toggles the three incremental layers (component cache, dirty
-// tracking, instance reuse) with the older layers on in both rows:
-// identical candidate sequence, like-for-like candidates_per_sec.
+// toggles the two incremental layers (component cache, instance reuse)
+// with the older layers on in both rows: identical candidate sequence,
+// like-for-like candidates_per_sec.
 static cfg::Config neighborhoodConfig() {
   gen::IndustrialParams Params;
   Params.Modules = 2;
@@ -208,7 +208,7 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
   cfg::Config Base = neighborhoodConfig();
 
   int64_t TotalEvaluated = 0;
-  int64_t CompHits = 0, CompMisses = 0, Dirty = 0, Clean = 0, Sims = 0;
+  int64_t CompHits = 0, CompMisses = 0, Sims = 0;
   for (auto _ : State) {
     schedtool::SearchProblem Problem;
     Problem.Base = Base;
@@ -216,7 +216,6 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
     Problem.MaxIterations = 120;
     Problem.Workers = Workers;
     Problem.UseComponentCache = Incremental;
-    Problem.UseDirtyTracking = Incremental;
     Problem.UseInstanceReuse = Incremental;
     Result<schedtool::SearchResult> Res =
         schedtool::searchConfiguration(Problem);
@@ -227,8 +226,6 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
     TotalEvaluated += Res->ConfigurationsEvaluated;
     CompHits += Res->ComponentCacheHits;
     CompMisses += Res->ComponentCacheMisses;
-    Dirty += Res->DirtyComponents;
-    Clean += Res->CleanComponentsReused;
     Sims += Res->ComponentsSimulated;
   }
   State.counters["incremental"] = Incremental ? 1 : 0;
@@ -241,11 +238,6 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
           ? static_cast<double>(CompHits) /
                 static_cast<double>(CompHits + CompMisses)
           : 0.0;
-  State.counters["dirty_components_per_candidate"] =
-      TotalEvaluated > 0 ? static_cast<double>(Dirty) /
-                               static_cast<double>(TotalEvaluated)
-                         : 0.0;
-  State.counters["clean_components_reused"] = static_cast<double>(Clean);
   swa::benchsupport::exportObsCounters(State);
 }
 BENCHMARK(BM_SearchNeighborhood)

@@ -21,12 +21,12 @@
 // skipped and the search keeps going. The --no-* flags switch off the
 // acceleration layers (verdict memoization, first-miss early exit,
 // per-core compositional evaluation, component-verdict memoization, and
-// — via --no-incremental — both mutation-driven dirty tracking and NSA
-// instance reuse); the verdict stream is identical either way, only the
-// cost changes. --trace-out records per-candidate /
-// per-component spans and writes a chrome://tracing (Perfetto) timeline;
-// --report-out writes a machine-readable obs::RunReport JSON. Both turn
-// observability on; neither changes the search result.
+// — via --no-incremental — NSA instance reuse); the verdict stream is
+// identical either way, only the cost changes. --trace-out records
+// per-candidate / per-component spans and writes a chrome://tracing
+// (Perfetto) timeline; --report-out writes a machine-readable
+// obs::RunReport JSON. Both turn observability on; neither changes the
+// search result.
 //
 // --checkpoint makes the search durable: it writes an atomic snapshot of
 // the verdict cache and loop state to FILE at round boundaries (every
@@ -38,6 +38,11 @@
 //
 // --strategy picks the metaheuristic (local | annealing | genetic).
 //
+// An argument that is not one of these flags or a decimal seed, a flag
+// missing its value and a non-numeric value for a numeric flag are errors
+// (exit 1); exit 2 means the search ran cleanly and found nothing
+// schedulable.
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Report.h"
@@ -48,6 +53,7 @@
 #include "schedtool/ConfigSearch.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
+#include "support/StringUtils.h"
 
 #include <chrono>
 #include <cstdio>
@@ -58,47 +64,64 @@
 
 using namespace swa;
 
+[[noreturn]] static void rejectArgument(const char *Arg) {
+  std::fprintf(stderr, "error: unknown argument '%s'\n", Arg);
+  std::exit(1);
+}
+
 int main(int argc, char **argv) {
   uint64_t Seed = 7;
   int Workers = 1;
   int64_t BudgetMs = -1;
   bool UseCache = true, UseEarlyExit = true, UseDecompose = true;
-  bool UseComponentCache = true, UseIncremental = true;
+  bool UseComponentCache = true, UseInstanceReuse = true;
   const char *TraceOut = nullptr, *ReportOut = nullptr;
   const char *CheckpointPath = nullptr;
   int64_t CheckpointEveryMs = 0;
   bool Resume = false;
   std::string StrategyName;
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--workers") == 0 && I + 1 < argc)
-      Workers = std::atoi(argv[++I]);
-    else if (std::strcmp(argv[I], "--budget-ms") == 0 && I + 1 < argc)
-      BudgetMs = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--no-cache") == 0)
+    const char *Arg = argv[I];
+    auto NextArg = [&]() -> const char * {
+      if (I + 1 >= argc)
+        rejectArgument(Arg);
+      return argv[++I];
+    };
+    auto NextInt = [&]() -> int64_t {
+      const char *V = NextArg();
+      int64_t N = 0;
+      if (!parseInt64(V, N))
+        rejectArgument(V);
+      return N;
+    };
+    if (std::strcmp(Arg, "--workers") == 0)
+      Workers = static_cast<int>(NextInt());
+    else if (std::strcmp(Arg, "--budget-ms") == 0)
+      BudgetMs = NextInt();
+    else if (std::strcmp(Arg, "--no-cache") == 0)
       UseCache = false;
-    else if (std::strcmp(argv[I], "--no-early-exit") == 0)
+    else if (std::strcmp(Arg, "--no-early-exit") == 0)
       UseEarlyExit = false;
-    else if (std::strcmp(argv[I], "--no-decompose") == 0)
+    else if (std::strcmp(Arg, "--no-decompose") == 0)
       UseDecompose = false;
-    else if (std::strcmp(argv[I], "--no-component-cache") == 0)
+    else if (std::strcmp(Arg, "--no-component-cache") == 0)
       UseComponentCache = false;
-    else if (std::strcmp(argv[I], "--no-incremental") == 0)
-      UseIncremental = false;
-    else if (std::strcmp(argv[I], "--checkpoint") == 0 && I + 1 < argc)
-      CheckpointPath = argv[++I];
-    else if (std::strcmp(argv[I], "--checkpoint-every-ms") == 0 &&
-             I + 1 < argc)
-      CheckpointEveryMs = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--resume") == 0)
+    else if (std::strcmp(Arg, "--no-incremental") == 0)
+      UseInstanceReuse = false;
+    else if (std::strcmp(Arg, "--checkpoint") == 0)
+      CheckpointPath = NextArg();
+    else if (std::strcmp(Arg, "--checkpoint-every-ms") == 0)
+      CheckpointEveryMs = NextInt();
+    else if (std::strcmp(Arg, "--resume") == 0)
       Resume = true;
-    else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc)
-      TraceOut = argv[++I];
-    else if (std::strcmp(argv[I], "--report-out") == 0 && I + 1 < argc)
-      ReportOut = argv[++I];
-    else if (std::strcmp(argv[I], "--strategy") == 0 && I + 1 < argc)
-      StrategyName = argv[++I];
-    else
-      Seed = std::strtoull(argv[I], nullptr, 10);
+    else if (std::strcmp(Arg, "--trace-out") == 0)
+      TraceOut = NextArg();
+    else if (std::strcmp(Arg, "--report-out") == 0)
+      ReportOut = NextArg();
+    else if (std::strcmp(Arg, "--strategy") == 0)
+      StrategyName = NextArg();
+    else if (!parseUInt64(Arg, Seed))
+      rejectArgument(Arg);
   }
 
   if (TraceOut || ReportOut)
@@ -135,8 +158,7 @@ int main(int argc, char **argv) {
   Problem.UseEarlyExit = UseEarlyExit;
   Problem.UseDecomposition = UseDecompose;
   Problem.UseComponentCache = UseComponentCache;
-  Problem.UseDirtyTracking = UseIncremental;
-  Problem.UseInstanceReuse = UseIncremental;
+  Problem.UseInstanceReuse = UseInstanceReuse;
 
   std::unique_ptr<schedtool::Strategy> Strat;
   if (!StrategyName.empty()) {
@@ -222,14 +244,6 @@ int main(int argc, char **argv) {
                 Lookups > 0 ? 100.0 * Res->ComponentCacheHits / Lookups
                             : 0.0,
                 Res->ComponentsSimulated);
-  }
-  if (UseDecompose && UseIncremental) {
-    int Planned = Res->DirtyComponents + Res->CleanComponentsReused;
-    std::printf("incremental: %d dirty / %d clean components (%.0f%% "
-                "dirty)\n",
-                Res->DirtyComponents, Res->CleanComponentsReused,
-                Planned > 0 ? 100.0 * Res->DirtyComponents / Planned
-                            : 0.0);
   }
   if (CheckpointPath) {
     std::printf("checkpoint: %llu snapshots written (%llu bytes), %llu "

@@ -18,6 +18,9 @@
 // the convergence granularity of the tick-valued searches (default 1:
 // adjacent certificates). --workers fans the (task, parameter) queries
 // out over N threads; the printed summary is byte-identical for every N.
+// An argument that is not one of these flags or a decimal seed, a flag
+// missing its value and a non-numeric value for a numeric flag are errors
+// (exit 1).
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +29,7 @@
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
 #include "obs/Span.h"
+#include "support/StringUtils.h"
 
 #include <chrono>
 #include <cstdio>
@@ -35,6 +39,11 @@
 
 using namespace swa;
 
+[[noreturn]] static void rejectArgument(const char *Arg) {
+  std::fprintf(stderr, "error: unknown argument '%s'\n", Arg);
+  std::exit(1);
+}
+
 int main(int argc, char **argv) {
   uint64_t Seed = 7;
   const char *Param = "all";
@@ -43,20 +52,33 @@ int main(int argc, char **argv) {
   int64_t BudgetMs = -1;
   const char *TraceOut = nullptr, *ReportOut = nullptr;
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--param") == 0 && I + 1 < argc)
-      Param = argv[++I];
-    else if (std::strcmp(argv[I], "--tolerance") == 0 && I + 1 < argc)
-      Tolerance = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--workers") == 0 && I + 1 < argc)
-      Workers = std::atoi(argv[++I]);
-    else if (std::strcmp(argv[I], "--budget-ms") == 0 && I + 1 < argc)
-      BudgetMs = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc)
-      TraceOut = argv[++I];
-    else if (std::strcmp(argv[I], "--report-out") == 0 && I + 1 < argc)
-      ReportOut = argv[++I];
-    else
-      Seed = std::strtoull(argv[I], nullptr, 10);
+    const char *Arg = argv[I];
+    auto NextArg = [&]() -> const char * {
+      if (I + 1 >= argc)
+        rejectArgument(Arg);
+      return argv[++I];
+    };
+    auto NextInt = [&]() -> int64_t {
+      const char *V = NextArg();
+      int64_t N = 0;
+      if (!parseInt64(V, N))
+        rejectArgument(V);
+      return N;
+    };
+    if (std::strcmp(Arg, "--param") == 0)
+      Param = NextArg();
+    else if (std::strcmp(Arg, "--tolerance") == 0)
+      Tolerance = NextInt();
+    else if (std::strcmp(Arg, "--workers") == 0)
+      Workers = static_cast<int>(NextInt());
+    else if (std::strcmp(Arg, "--budget-ms") == 0)
+      BudgetMs = NextInt();
+    else if (std::strcmp(Arg, "--trace-out") == 0)
+      TraceOut = NextArg();
+    else if (std::strcmp(Arg, "--report-out") == 0)
+      ReportOut = NextArg();
+    else if (!parseUInt64(Arg, Seed))
+      rejectArgument(Arg);
   }
 
   if (TraceOut || ReportOut)

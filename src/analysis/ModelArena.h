@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An arena of built NSA instances keyed by cfg::fingerprintShape, the
-/// third layer of the incremental config search. Local-search mutations
+/// An arena of built NSA instances keyed by cfg::fingerprintShape, one
+/// layer of the incremental config search. Local-search mutations
 /// mostly move window positions (boost resampling) and only occasionally
 /// rebind a partition; window positions are the one part of a config the
 /// compiled network reads as *data* (core::WindowRebinder), so a

@@ -19,13 +19,10 @@
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
-#include "support/UnionFind.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -163,32 +160,21 @@ struct WorkItem {
   int Unique = -1;
 };
 
-/// One component of a candidate's evaluation plan. Sub/GidMap point into
-/// round-stable storage (the candidate's own Decomposition or Owned list,
-/// or the round base's component list); Hit/Unique record how the
-/// component cache resolved it.
+/// How the component cache resolved one component of a candidate.
 struct PlannedComp {
-  const cfg::Config *Sub = nullptr;
-  const std::vector<int32_t> *GidMap = nullptr;
   /// Cache hit: the verdict replays from this entry (stable address —
   /// see VerdictCache.h on entry immutability).
   const VerdictCache::ComponentEntry *Hit = nullptr;
   /// Cache miss: index into the round's unique-sim list.
   int Unique = -1;
-  /// Clean component reused from the round base (>= 0 = base component
-  /// id, shares the base's fingerprints); -1 = candidate-owned.
-  int BaseComp = -1;
 };
 
-/// A candidate's evaluation plan: not decomposed (monolithic item), or a
-/// component list backed by either a full cfg::Decomposition (dirty
-/// tracking off) or the Owned deque plus base-round references (dirty
-/// tracking on; deque for pointer stability under growth).
+/// A candidate's evaluation plan: its decomposition (monolithic item
+/// when D.Decomposed is false) and, with the component cache, how each
+/// component resolved against it (Comps[K] for D.Components[K]).
 struct CandPlan {
-  bool Decomposed = false;
-  std::vector<PlannedComp> Comps;
   cfg::Decomposition D;
-  std::deque<cfg::Component> Owned;
+  std::vector<PlannedComp> Comps;
 };
 
 /// One deduplicated component simulation of a round: the first candidate
@@ -199,24 +185,6 @@ struct UniqueSim {
   cfg::Fingerprint Canon, Raw;
   int FirstCand = -1;
   int ItemSlot = -1;
-};
-
-// The per-candidate mutation delta (schedtool::Mutation, Strategy.h) is
-// recorded by Strategy::perturb during generation without touching the
-// RNG call sequence, so candidate configs are byte-identical with dirty
-// tracking on or off.
-
-/// The round base's decomposition state, computed lazily on the first
-/// candidate that plans incrementally: component structure of candidate
-/// 0, its materialized components, and their fingerprints (filled on
-/// first need when the component cache is on).
-struct BaseRound {
-  bool Ready = false;
-  cfg::ComponentStructure S;
-  std::vector<cfg::Component> Comps;
-  std::vector<char> Ok;
-  std::vector<cfg::Fingerprint> Canon, Raw;
-  std::vector<char> FpReady;
 };
 
 /// A pool of model arenas for instance reuse. ThreadPool::parallelFor
@@ -280,10 +248,10 @@ private:
 /// then collapse to that miss instant. A pure function of the
 /// decomposition: worker count and batch order cannot change it, and any
 /// order yields the same merged verdict (the heuristic only moves cost).
-std::vector<size_t> chainOrder(const std::vector<PlannedComp> &Comps) {
+std::vector<size_t> chainOrder(const std::vector<cfg::Component> &Comps) {
   std::vector<double> Score(Comps.size(), 0.0);
   for (size_t K = 0; K < Comps.size(); ++K) {
-    const cfg::Config &Sub = *Comps[K].Sub;
+    const cfg::Config &Sub = Comps[K].Sub;
     for (size_t P = 0; P < Sub.Partitions.size(); ++P) {
       double Demand = Sub.partitionUtilization(static_cast<int>(P));
       double Supply = Sub.windowShare(static_cast<int>(P));
@@ -336,7 +304,6 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
   obs::Counter *HitC = nullptr, *MissC = nullptr, *FoldC = nullptr;
   obs::Counter *DecompC = nullptr, *CompC = nullptr;
   obs::Counter *CompHitC = nullptr, *CompMissC = nullptr;
-  obs::Counter *DirtyC = nullptr, *CleanC = nullptr;
   obs::Counter *SnapHitC = nullptr, *CkptC = nullptr;
   if (obs::enabled()) {
     obs::Registry &Reg = obs::Registry::global();
@@ -350,8 +317,6 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
     CompC = &Reg.counter("schedtool.components.simulated");
     CompHitC = &Reg.counter("schedtool.component_cache.hits");
     CompMissC = &Reg.counter("schedtool.component_cache.misses");
-    DirtyC = &Reg.counter("schedtool.components.dirty");
-    CleanC = &Reg.counter("schedtool.components.clean_reused");
     // Warm-from-disk hits vs same-run memoization, and checkpoints
     // actually written — durable-search traffic, outside SearchResult.
     SnapHitC = &Reg.counter("verdict_cache.snapshot_hits");
@@ -391,24 +356,12 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
   std::vector<int> Src;
   std::vector<int> SimList;
   std::vector<CandPlan> Plans;
-  std::vector<Mutation> Deltas;
   std::vector<UniqueSim> UniqueSims;
   std::unordered_map<cfg::Fingerprint, int, cfg::FingerprintHash> UniqueOf;
-  BaseRound Base;
   std::vector<WorkItem> Items;
   std::vector<Eval> ItemEvals;
 
-  // Incremental-structure state. Message groups depend only on the
-  // message topology, which no search move touches, so they are computed
-  // once per search; the per-candidate union-find runs over the grouped
-  // edges (one unite per partition) against this scratch instance.
-  const bool Incremental = Problem.UseDecomposition && Problem.UseDirtyTracking;
   const bool CompCache = Problem.UseDecomposition && Problem.UseComponentCache;
-  const bool LDecomposable = L > 0 && L != std::numeric_limits<int64_t>::max();
-  cfg::MessageGroups MsgGroups;
-  support::UnionFind UFScratch(Current.Cores.size());
-  if (Incremental)
-    MsgGroups = cfg::messageGroups(Current);
   ArenaPool Arenas;
 
   // Guard rails handed to every candidate simulation. When neither is set
@@ -549,15 +502,13 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
     // deterministic state.
     Cands.assign(static_cast<size_t>(N), Candidate());
     Evals.assign(static_cast<size_t>(N), Eval());
-    Deltas.assign(static_cast<size_t>(N), Mutation());
     for (int J = 0; J < N; ++J) {
       Candidate &C = Cands[static_cast<size_t>(J)];
-      Mutation &DJ = Deltas[static_cast<size_t>(J)];
       C.Config = Current;
       C.Boost = Boost;
       if (J > 0) {
         Rng PJ(candidateSeed(Problem.Seed, Round, J));
-        Strat->perturb(PJ, Problem, C.Config, C.Boost, DJ);
+        Strat->perturb(PJ, Problem, C.Config, C.Boost);
       }
       synthesizeWindows(C.Config, C.Boost);
       if (Error E = C.Config.validate())
@@ -579,8 +530,6 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
     const int RoundSims0 = Res.SimulationsRun;
     const int RoundCompHits0 = Res.ComponentCacheHits;
     const int RoundCompMisses0 = Res.ComponentCacheMisses;
-    const int RoundDirty0 = Res.DirtyComponents;
-    const int RoundClean0 = Res.CleanComponentsReused;
 
     // Per-round acceleration statistics: round-summary log lines plus
     // the matching obs counter deltas. One flush per round, invoked both
@@ -633,18 +582,6 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
               static_cast<uint64_t>(Res.ComponentCacheHits - RoundCompHits0));
           CompMissC->add(static_cast<uint64_t>(Res.ComponentCacheMisses -
                                                RoundCompMisses0));
-        }
-      }
-      if (Incremental) {
-        Res.Log.push_back(formatString(
-            "round %d: incremental %d dirty / %d clean components", Round,
-            Res.DirtyComponents - RoundDirty0,
-            Res.CleanComponentsReused - RoundClean0));
-        if (DirtyC) {
-          DirtyC->add(
-              static_cast<uint64_t>(Res.DirtyComponents - RoundDirty0));
-          CleanC->add(
-              static_cast<uint64_t>(Res.CleanComponentsReused - RoundClean0));
         }
       }
       if (SimC)
@@ -708,178 +645,43 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
           SimList.push_back(J);
     }
 
-    // Component planning — also serial: the component structure of each
-    // to-be-simulated candidate is fixed before any thread runs. With
-    // dirty tracking the structure is derived from the mutation delta
-    // (clean components reuse the round base's sub-configs outright);
-    // otherwise cfg::decomposeConfig recomputes it from scratch —
-    // byte-identical components either way. With the component cache the
-    // planned components are then resolved against the cache and misses
-    // deduplicated into one unique-sim list for the round, in order of
-    // first need, so the fill order — like the hit pattern — is a pure
-    // function of the candidate sequence. Finally one flattened item
-    // list (monolithic candidates, individual components, capped chains
-    // and unique sims side by side) is dispatched in a single
-    // parallelFor, so the pool is never re-entered and small components
-    // of different candidates overlap freely.
+    // Component planning — also serial: each to-be-simulated candidate
+    // is decomposed (cfg::decomposeConfig) before any thread runs. With
+    // the component cache the components are then resolved against the
+    // cache and misses deduplicated into one unique-sim list for the
+    // round, in order of first need, so the fill order — like the hit
+    // pattern — is a pure function of the candidate sequence. Finally one
+    // flattened item list (monolithic candidates, individual components,
+    // capped chains and unique sims side by side) is dispatched in a
+    // single parallelFor, so the pool is never re-entered and small
+    // components of different candidates overlap freely.
     Plans.assign(static_cast<size_t>(N), CandPlan());
-    Base = BaseRound();
     UniqueSims.clear();
     UniqueOf.clear();
     Items.clear();
 
-    // Lazy round base for the incremental planner: candidate 0 carries
-    // the round's shared binding, so its structure and components are
-    // the reuse substrate for every un-rebound candidate.
-    auto EnsureBase = [&]() {
-      if (Base.Ready)
-        return;
-      Base.Ready = true;
-      Base.S = cfg::componentStructureFromGroups(Cands[0].Config, MsgGroups,
-                                                 UFScratch);
-      if (!Base.S.Valid || Base.S.NumComps < 2)
-        return;
-      size_t NK = static_cast<size_t>(Base.S.NumComps);
-      Base.Comps.assign(NK, cfg::Component());
-      Base.Ok.assign(NK, 0);
-      for (size_t K = 0; K < NK; ++K)
-        Base.Ok[K] = cfg::materializeComponent(Cands[0].Config, Base.S,
-                                               static_cast<int32_t>(K), L,
-                                               Base.Comps[K])
-                         ? 1
-                         : 0;
-      Base.Canon.assign(NK, {});
-      Base.Raw.assign(NK, {});
-      Base.FpReady.assign(NK, 0);
-    };
-
-    // Incremental plan for candidate J. Returns false when the candidate
-    // does not decompose (monolithic fallback) — the same condition
-    // cfg::decomposeConfig reports, because the mutated-core set is
-    // conservative: a boost resample only moves window shares on the
-    // resampled partition's core, and a rebind changes membership of
-    // exactly the components containing its endpoint cores (the rebound
-    // partition's message group follows it). Any component with no
-    // mutated core is therefore byte-identical to its base counterpart
-    // (matched through CompOfCore, which the rebind cannot have touched
-    // for clean cores) — including materialization failure, so declining
-    // when the base counterpart failed is exact parity.
-    auto PlanIncremental = [&](int J) -> bool {
-      if (!LDecomposable)
-        return false;
-      EnsureBase();
-      const Candidate &C = Cands[static_cast<size_t>(J)];
-      const Mutation &DJ = Deltas[static_cast<size_t>(J)];
-      CandPlan &Plan = Plans[static_cast<size_t>(J)];
-      const cfg::ComponentStructure *S = &Base.S;
-      cfg::ComponentStructure LocalS;
-      if (DJ.RebindPart >= 0) {
-        LocalS = cfg::componentStructureFromGroups(C.Config, MsgGroups,
-                                                   UFScratch);
-        S = &LocalS;
-      }
-      if (!S->Valid || S->NumComps < 2)
-        return false;
-
-      std::vector<char> DirtyCore(C.Config.Cores.size(), 0);
-      for (int32_t P : DJ.BoostChanged)
-        DirtyCore[static_cast<size_t>(
-            C.Config.Partitions[static_cast<size_t>(P)].Core)] = 1;
-      if (DJ.RebindPart >= 0) {
-        DirtyCore[static_cast<size_t>(DJ.OldCore)] = 1;
-        DirtyCore[static_cast<size_t>(DJ.NewCore)] = 1;
-      }
-
-      size_t NK = static_cast<size_t>(S->NumComps);
-      std::vector<char> CompDirty(NK, 0);
-      std::vector<int32_t> RepCore(NK, -1);
-      for (size_t Core = 0; Core < S->CompOfCore.size(); ++Core) {
-        int32_t K = S->CompOfCore[Core];
-        if (K < 0)
-          continue;
-        if (RepCore[static_cast<size_t>(K)] < 0)
-          RepCore[static_cast<size_t>(K)] = static_cast<int32_t>(Core);
-        if (DirtyCore[Core])
-          CompDirty[static_cast<size_t>(K)] = 1;
-      }
-
-      int NewDirty = 0, NewClean = 0;
-      Plan.Comps.assign(NK, PlannedComp());
-      for (size_t K = 0; K < NK; ++K) {
-        PlannedComp &PC = Plan.Comps[K];
-        if (!CompDirty[K]) {
-          int32_t B = Base.S.CompOfCore[static_cast<size_t>(
-              RepCore[K])];
-          if (B < 0 || static_cast<size_t>(B) >= Base.Ok.size() ||
-              !Base.Ok[static_cast<size_t>(B)])
-            return false;
-          PC.Sub = &Base.Comps[static_cast<size_t>(B)].Sub;
-          PC.GidMap = &Base.Comps[static_cast<size_t>(B)].GidMap;
-          PC.BaseComp = B;
-          ++NewClean;
-          continue;
-        }
-        Plan.Owned.emplace_back();
-        if (!cfg::materializeComponent(C.Config, *S, static_cast<int32_t>(K),
-                                       L, Plan.Owned.back()))
-          return false; // window pattern not sub-periodic: decline whole
-        PC.Sub = &Plan.Owned.back().Sub;
-        PC.GidMap = &Plan.Owned.back().GidMap;
-        ++NewDirty;
-      }
-      Res.DirtyComponents += NewDirty;
-      Res.CleanComponentsReused += NewClean;
-      return true;
-    };
-
     for (int J : SimList) {
       CandPlan &Plan = Plans[static_cast<size_t>(J)];
-      if (Problem.UseDecomposition) {
-        if (Incremental) {
-          Plan.Decomposed = PlanIncremental(J);
-        } else {
-          Plan.D = cfg::decomposeConfig(Cands[static_cast<size_t>(J)].Config);
-          if (Plan.D.Decomposed) {
-            Plan.Decomposed = true;
-            Plan.Comps.assign(Plan.D.Components.size(), PlannedComp());
-            for (size_t K = 0; K < Plan.D.Components.size(); ++K) {
-              Plan.Comps[K].Sub = &Plan.D.Components[K].Sub;
-              Plan.Comps[K].GidMap = &Plan.D.Components[K].GidMap;
-            }
-          }
-        }
-      }
-      if (!Plan.Decomposed) {
+      if (Problem.UseDecomposition)
+        Plan.D = cfg::decomposeConfig(Cands[static_cast<size_t>(J)].Config);
+      if (!Plan.D.Decomposed) {
         ++Res.SimulationsRun;
         Items.push_back({J, WorkItem::kMonolithic, -1});
         continue;
       }
       ++Res.DecomposedCandidates;
+      const std::vector<cfg::Component> &Comps = Plan.D.Components;
       if (CompCache) {
         // Resolve each component against the cache. Misses join the
         // round's unique-sim list (first occurrence wins the slot); the
         // candidate contributes no work item of its own — its verdict is
         // stitched from hits and shared sims after the batch.
-        for (size_t K = 0; K < Plan.Comps.size(); ++K) {
+        Plan.Comps.assign(Comps.size(), PlannedComp());
+        for (size_t K = 0; K < Comps.size(); ++K) {
           PlannedComp &PC = Plan.Comps[K];
-          cfg::Fingerprint CanonK, RawK;
-          if (PC.BaseComp >= 0) {
-            // Clean components share the base sub-config — and its
-            // fingerprints, computed once per base component per round.
-            size_t B = static_cast<size_t>(PC.BaseComp);
-            if (!Base.FpReady[B]) {
-              Base.Canon[B] = cfg::fingerprintComponent(*PC.Sub, L);
-              Base.Raw[B] = cfg::fingerprintComponent(
-                  *PC.Sub, L, /*CanonicalizeCores=*/false);
-              Base.FpReady[B] = 1;
-            }
-            CanonK = Base.Canon[B];
-            RawK = Base.Raw[B];
-          } else {
-            CanonK = cfg::fingerprintComponent(*PC.Sub, L);
-            RawK = cfg::fingerprintComponent(*PC.Sub, L,
-                                             /*CanonicalizeCores=*/false);
-          }
+          cfg::Fingerprint CanonK = cfg::fingerprintComponent(Comps[K].Sub, L);
+          cfg::Fingerprint RawK = cfg::fingerprintComponent(
+              Comps[K].Sub, L, /*CanonicalizeCores=*/false);
           if (const VerdictCache::ComponentEntry *CE =
                   Cache.lookupComponent(CanonK)) {
             PC.Hit = CE;
@@ -896,14 +698,14 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
           auto Ins =
               UniqueOf.emplace(CanonK, static_cast<int>(UniqueSims.size()));
           if (Ins.second) {
-            UniqueSims.push_back({PC.Sub, CanonK, RawK, J, -1});
+            UniqueSims.push_back({&Comps[K].Sub, CanonK, RawK, J, -1});
             ++Res.ComponentsSimulated;
           }
           PC.Unique = Ins.first->second;
         }
         continue;
       }
-      Res.ComponentsSimulated += static_cast<int>(Plan.Comps.size());
+      Res.ComponentsSimulated += static_cast<int>(Comps.size());
       // With early exit on, the candidate's components run sequentially
       // in one item so each later component inherits the earliest miss
       // found so far as its horizon cap — a passing component then costs
@@ -912,7 +714,7 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
       if (Problem.UseEarlyExit) {
         Items.push_back({J, WorkItem::kCappedChain, -1});
       } else {
-        for (size_t K = 0; K < Plan.Comps.size(); ++K)
+        for (size_t K = 0; K < Comps.size(); ++K)
           Items.push_back({J, static_cast<int>(K), -1});
       }
     }
@@ -975,20 +777,21 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
         // FirstMissTime/FirstMissTasks are identical to independent
         // full-horizon component runs — later misses that the cap hides
         // cannot win the min and are invisible to the merge.
-        const CandPlan &Plan = Plans[static_cast<size_t>(It.Cand)];
+        const std::vector<cfg::Component> &Comps =
+            Plans[static_cast<size_t>(It.Cand)].D.Components;
         std::vector<analysis::ComponentVerdict> Parts;
-        Parts.reserve(Plan.Comps.size());
+        Parts.reserve(Comps.size());
         int64_t Cap = L;
         bool AllOk = true;
-        for (size_t K : chainOrder(Plan.Comps)) {
-          const PlannedComp &Comp = Plan.Comps[K];
+        for (size_t K : chainOrder(Comps)) {
+          const cfg::Component &Comp = Comps[K];
           obs::Span CompSpan("simulate.component", "search");
           CompSpan.arg("cand", It.Cand);
           CompSpan.arg("comp", static_cast<int64_t>(K));
           nsa::SimOptions ChainOpt = Opt;
           ChainOpt.Horizon = Cap;
           Result<analysis::VerdictOutcome> Out =
-              analysis::analyzeVerdictOnly(*Comp.Sub, ChainOpt, Arena);
+              analysis::analyzeVerdictOnly(Comp.Sub, ChainOpt, Arena);
           if (!Out.ok()) {
             if (AllOk) // first failing component wins, deterministically
               E.ErrMsg = Out.error().message();
@@ -998,7 +801,7 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
           if (Out->FirstMissTime >= 0 && Out->FirstMissTime < Cap)
             Cap = Out->FirstMissTime;
           bool Decided = Out->decided();
-          Parts.push_back({std::move(*Out), *Comp.GidMap});
+          Parts.push_back({std::move(*Out), Comp.GidMap});
           // A guard-rail stop (budget, cancel) already makes the merged
           // verdict undecided with this component's StopReason — running
           // the rest of the chain would spend a fresh per-run budget per
@@ -1017,9 +820,9 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
       }
       const cfg::Config *Cfg;
       if (It.Comp >= 0) {
-        Cfg = Plans[static_cast<size_t>(It.Cand)]
-                  .Comps[static_cast<size_t>(It.Comp)]
-                  .Sub;
+        Cfg = &Plans[static_cast<size_t>(It.Cand)]
+                   .D.Components[static_cast<size_t>(It.Comp)]
+                   .Sub;
         // Components carry their own (smaller) hyperperiod; simulate to
         // the global one so backlog beyond it is observed exactly as the
         // monolithic run observes it.
@@ -1057,18 +860,20 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
       size_t ItemAt = 0;
       for (int J : SimList) {
         Eval &E = Evals[static_cast<size_t>(J)];
-        CandPlan &Plan = Plans[static_cast<size_t>(J)];
-        if (Plan.Decomposed && CompCache) {
+        const CandPlan &Plan = Plans[static_cast<size_t>(J)];
+        const std::vector<cfg::Component> &Comps = Plan.D.Components;
+        if (Plan.D.Decomposed && CompCache) {
           // Stitch the verdict from cache hits and shared unique sims —
           // the candidate had no work item of its own. Verdicts are
           // copied, never moved: a unique sim's result may serve several
           // candidates of the batch.
           std::vector<analysis::ComponentVerdict> Parts;
-          Parts.reserve(Plan.Comps.size());
+          Parts.reserve(Comps.size());
           bool AllOk = true;
-          for (const PlannedComp &PC : Plan.Comps) {
+          for (size_t K = 0; K < Comps.size(); ++K) {
+            const PlannedComp &PC = Plan.Comps[K];
             if (PC.Hit) {
-              Parts.push_back({PC.Hit->Verdict, *PC.GidMap});
+              Parts.push_back({PC.Hit->Verdict, Comps[K].GidMap});
               continue;
             }
             const Eval &IE = ItemEvals[static_cast<size_t>(
@@ -1079,23 +884,23 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
               AllOk = false;
               continue;
             }
-            Parts.push_back({IE.V, *PC.GidMap});
+            Parts.push_back({IE.V, Comps[K].GidMap});
           }
           if (AllOk) {
             E.Ok = true;
             E.V = analysis::mergeComponentVerdicts(
                 Parts, Cands[static_cast<size_t>(J)].Config.numTasks());
           }
-        } else if (Plan.Decomposed && Problem.UseEarlyExit) {
+        } else if (Plan.D.Decomposed && Problem.UseEarlyExit) {
           // Capped-chain items merged their components inside the worker;
           // the single slot already holds the candidate verdict.
           E = std::move(ItemEvals[ItemAt]);
           ++ItemAt;
-        } else if (Plan.Decomposed) {
+        } else if (Plan.D.Decomposed) {
           std::vector<analysis::ComponentVerdict> Parts;
-          Parts.reserve(Plan.Comps.size());
+          Parts.reserve(Comps.size());
           bool AllOk = true;
-          for (size_t K = 0; K < Plan.Comps.size(); ++K, ++ItemAt) {
+          for (size_t K = 0; K < Comps.size(); ++K, ++ItemAt) {
             Eval &IE = ItemEvals[ItemAt];
             if (!IE.Ok) {
               if (AllOk) // first failing component wins, deterministically
@@ -1103,7 +908,7 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
               AllOk = false;
               continue;
             }
-            Parts.push_back({std::move(IE.V), *Plan.Comps[K].GidMap});
+            Parts.push_back({std::move(IE.V), Comps[K].GidMap});
           }
           if (AllOk) {
             E.Ok = true;
@@ -1284,15 +1089,6 @@ void swa::schedtool::fillSearchReport(obs::RunReport &Report,
     Report.addStat("component_cache.hit_rate",
                    static_cast<double>(Res.ComponentCacheHits) /
                        static_cast<double>(CompLookups));
-  Report.addCount("components.dirty",
-                  static_cast<uint64_t>(Res.DirtyComponents));
-  Report.addCount("components.clean_reused",
-                  static_cast<uint64_t>(Res.CleanComponentsReused));
-  if (Res.DirtyComponents + Res.CleanComponentsReused > 0 &&
-      Res.ConfigurationsEvaluated > 0)
-    Report.addStat("components.dirty_per_candidate",
-                   static_cast<double>(Res.DirtyComponents) /
-                       static_cast<double>(Res.ConfigurationsEvaluated));
   Report.addCount("simulations.run",
                   static_cast<uint64_t>(Res.SimulationsRun));
   Report.addStat("best.badness", static_cast<double>(Res.BestBadness));

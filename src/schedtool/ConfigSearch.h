@@ -85,8 +85,8 @@ struct SearchProblem {
   /// that do not decompose fall back to the monolithic run.
   bool UseDecomposition = true;
   /// Memoize *component* verdicts under cfg::fingerprintComponent (the
-  /// second cache level): a mutation dirties one or two components, and
-  /// every clean component's verdict replays from the cache — a
+  /// second cache level): a perturbation changes one or two components,
+  /// and every unchanged component's verdict replays from the cache — a
   /// candidate whose components all hit never constructs a simulator.
   /// Missing components are simulated once per distinct fingerprint per
   /// round (full horizon, so the verdict is cap-free and cacheable) and
@@ -95,18 +95,10 @@ struct SearchProblem {
   /// the hit pattern — and the SearchResult — is Workers-independent.
   /// No effect unless UseDecomposition is on.
   bool UseComponentCache = true;
-  /// Derive each candidate's component structure incrementally from the
-  /// mutation delta instead of re-running the union-find and
-  /// re-materializing every sub-config per candidate: message groups are
-  /// computed once per search (mutations never touch messages), the
-  /// round's base decomposition once per round, and only components
-  /// containing a mutated core are re-materialized — clean components
-  /// reuse the base round's sub-configs (and their fingerprints)
-  /// outright. Produces byte-identical components to
-  /// cfg::decomposeConfig, so every SearchResult field except the
-  /// DirtyComponents/CleanComponentsReused counters (and their log line)
-  /// is identical with the flag on or off. No effect unless
-  /// UseDecomposition is on.
+  /// Ignored. Component planning used to be derived from each
+  /// candidate's mutation delta; every decomposed candidate is now
+  /// planned by cfg::decomposeConfig. The member stays only so existing
+  /// callers that assign it still compile.
   bool UseDirtyTracking = true;
   /// Reuse NSA instances across candidates: each worker leases an arena
   /// of built models keyed by cfg::fingerprintShape and retargets a
@@ -204,12 +196,6 @@ struct SearchResult {
   /// because intra-round duplicates are simulated once.
   int ComponentCacheHits = 0;
   int ComponentCacheMisses = 0;
-  /// Incremental-structure statistics (zero unless UseDirtyTracking and
-  /// UseDecomposition are both on): components re-materialized because a
-  /// mutation touched one of their cores, and components reused verbatim
-  /// from the round's base decomposition.
-  int DirtyComponents = 0;
-  int CleanComponentsReused = 0;
   /// Monolithic simulations actually run (cache misses that did not
   /// decompose). SimulationsRun + ComponentsSimulated is the number of
   /// Simulator::run calls the search made.

@@ -315,8 +315,6 @@ void encodeSearchResult(Enc &E, const SearchResult &R) {
   E.i32(R.ComponentsSimulated);
   E.i32(R.ComponentCacheHits);
   E.i32(R.ComponentCacheMisses);
-  E.i32(R.DirtyComponents);
-  E.i32(R.CleanComponentsReused);
   E.i32(R.SimulationsRun);
   E.u64(static_cast<uint64_t>(nsa::NumStopReasons));
   for (int C : R.StopReasonCounts)
@@ -349,8 +347,6 @@ bool decodeSearchResult(Dec &D, SearchResult &R) {
   R.ComponentsSimulated = D.i32();
   R.ComponentCacheHits = D.i32();
   R.ComponentCacheMisses = D.i32();
-  R.DirtyComponents = D.i32();
-  R.CleanComponentsReused = D.i32();
   R.SimulationsRun = D.i32();
   if (D.u64() != static_cast<uint64_t>(nsa::NumStopReasons))
     return false; // taxonomy changed without a format bump

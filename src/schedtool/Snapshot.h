@@ -79,9 +79,11 @@ struct SnapshotStats {
 struct Snapshot {
   /// Version 2: the search-state payload gained the strategy name +
   /// opaque strategy state (stateful metaheuristics resume
-  /// mid-stream). Version 1 files are rejected with a typed skew error
-  /// and degrade to a cold start, per the reader contract above.
-  static constexpr uint32_t FormatVersion = 2;
+  /// mid-stream). Version 3: the saved SearchResult lost the two
+  /// dirty-tracking component counts. Older files are rejected with a
+  /// typed skew error and degrade to a cold start, per the reader
+  /// contract above.
+  static constexpr uint32_t FormatVersion = 3;
 
   /// One serialized verdict-cache entry (either level).
   struct CacheRecord {

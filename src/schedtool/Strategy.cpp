@@ -131,29 +131,24 @@ void boostFailingAndMaybeRebind(Rng &R, const SearchProblem &P,
   }
 }
 
+/// The rebind move every perturbation ends with: with probability 0.3,
+/// bind a random partition to a random core.
+void maybeRebind(Rng &PJ, cfg::Config &Config) {
+  if (Config.Partitions.empty() || Config.Cores.empty() || !PJ.chance(0.3))
+    return;
+  size_t Part = PJ.index(Config.Partitions.size());
+  Config.Partitions[Part].Core =
+      static_cast<int>(PJ.index(Config.Cores.size()));
+}
+
 /// The historical perturbation, shared as the base move: resample each
-/// boost with probability 0.4, then rebind a random partition to a
-/// random core with probability 0.3.
+/// boost with probability 0.4, then maybe rebind.
 void perturbLocal(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
-                  std::vector<double> &Boost, Mutation &M) {
-  for (size_t Part = 0; Part < Boost.size(); ++Part)
-    if (PJ.chance(0.4)) {
-      Boost[Part] =
-          P.MinBoost + PJ.uniformDouble() * (P.MaxBoost - P.MinBoost);
-      M.BoostChanged.push_back(static_cast<int32_t>(Part));
-    }
-  if (!Config.Partitions.empty() && !Config.Cores.empty() &&
-      PJ.chance(0.3)) {
-    size_t Part = PJ.index(Config.Partitions.size());
-    int NewCore = static_cast<int>(PJ.index(Config.Cores.size()));
-    int OldCore = Config.Partitions[Part].Core;
-    Config.Partitions[Part].Core = NewCore;
-    if (NewCore != OldCore) {
-      M.RebindPart = static_cast<int32_t>(Part);
-      M.OldCore = OldCore;
-      M.NewCore = NewCore;
-    }
-  }
+                  std::vector<double> &Boost) {
+  for (double &B : Boost)
+    if (PJ.chance(0.4))
+      B = P.MinBoost + PJ.uniformDouble() * (P.MaxBoost - P.MinBoost);
+  maybeRebind(PJ, Config);
 }
 
 /// The classic greedy local search: take the round's best candidate as
@@ -163,8 +158,8 @@ public:
   const char *name() const override { return "local"; }
 
   void perturb(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
-               std::vector<double> &Boost, Mutation &M) override {
-    perturbLocal(PJ, P, Config, Boost, M);
+               std::vector<double> &Boost) override {
+    perturbLocal(PJ, P, Config, Boost);
   }
 
   void adapt(Rng &R, const SearchProblem &P, const RoundBest &Best,
@@ -186,8 +181,8 @@ public:
   const char *name() const override { return "annealing"; }
 
   void perturb(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
-               std::vector<double> &Boost, Mutation &M) override {
-    perturbLocal(PJ, P, Config, Boost, M);
+               std::vector<double> &Boost) override {
+    perturbLocal(PJ, P, Config, Boost);
   }
 
   void adapt(Rng &R, const SearchProblem &P, const RoundBest &Best,
@@ -241,38 +236,22 @@ public:
   const char *name() const override { return "genetic"; }
 
   void perturb(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
-               std::vector<double> &Boost, Mutation &M) override {
+               std::vector<double> &Boost) override {
     if (Pop.size() < 2) {
-      perturbLocal(PJ, P, Config, Boost, M);
+      perturbLocal(PJ, P, Config, Boost);
       return;
     }
     const Member &A = Pop[tournament(PJ)];
     const Member &B = Pop[tournament(PJ)];
     for (size_t G = 0; G < Boost.size(); ++G) {
-      double Old = Boost[G];
-      double V = Old;
       const std::vector<double> &Src = PJ.chance(0.5) ? A.Boost : B.Boost;
       if (G < Src.size())
-        V = Src[G];
+        Boost[G] = Src[G];
       if (PJ.chance(0.15))
-        V = P.MinBoost + PJ.uniformDouble() * (P.MaxBoost - P.MinBoost);
-      if (V != Old) {
-        Boost[G] = V;
-        M.BoostChanged.push_back(static_cast<int32_t>(G));
-      }
+        Boost[G] =
+            P.MinBoost + PJ.uniformDouble() * (P.MaxBoost - P.MinBoost);
     }
-    if (!Config.Partitions.empty() && !Config.Cores.empty() &&
-        PJ.chance(0.3)) {
-      size_t Part = PJ.index(Config.Partitions.size());
-      int NewCore = static_cast<int>(PJ.index(Config.Cores.size()));
-      int OldCore = Config.Partitions[Part].Core;
-      Config.Partitions[Part].Core = NewCore;
-      if (NewCore != OldCore) {
-        M.RebindPart = static_cast<int32_t>(Part);
-        M.OldCore = OldCore;
-        M.NewCore = NewCore;
-      }
-    }
+    maybeRebind(PJ, Config);
   }
 
   void adapt(Rng &R, const SearchProblem &P, const RoundBest &Best,

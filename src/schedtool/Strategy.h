@@ -47,20 +47,6 @@ namespace schedtool {
 
 struct SearchProblem;
 
-/// The mutation delta a perturbation applied to the round's base
-/// (candidate 0): which partitions' boosts were resampled, and the
-/// endpoints of the rebind (RebindPart < 0 when none, or when the rebind
-/// drew the partition's current core — a no-op). A Strategy MUST record
-/// every change it makes here: incremental dirty tracking derives the
-/// re-simulated component set from this delta, and an unrecorded change
-/// would silently reuse a stale component verdict.
-struct Mutation {
-  std::vector<int32_t> BoostChanged;
-  int32_t RebindPart = -1;
-  int32_t OldCore = -1;
-  int32_t NewCore = -1;
-};
-
 /// The round's best decided candidate, handed to Strategy::adapt.
 /// Pointers reference round-local storage; valid for the call only.
 struct RoundBest {
@@ -86,10 +72,9 @@ public:
   virtual const char *name() const = 0;
 
   /// Derives candidate J of a round in place. Config/Boost arrive as
-  /// copies of the incumbent; PJ is the candidate's private RNG. Every
-  /// boost resample and rebind must be recorded in M (see Mutation).
+  /// copies of the incumbent; PJ is the candidate's private RNG.
   virtual void perturb(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
-                       std::vector<double> &Boost, Mutation &M) = 0;
+                       std::vector<double> &Boost) = 0;
 
   /// Moves the incumbent (Current/Boost) after a round with at least one
   /// decided candidate. R is the search's main RNG: the draw sequence is

@@ -588,9 +588,6 @@ TEST(ObsEngine, SearchCountersMatchResultStatsOnFoundRun) {
             U64(Res->ComponentCacheHits));
   EXPECT_EQ(Counter("schedtool.component_cache.misses"),
             U64(Res->ComponentCacheMisses));
-  EXPECT_EQ(Counter("schedtool.components.dirty"), U64(Res->DirtyComponents));
-  EXPECT_EQ(Counter("schedtool.components.clean_reused"),
-            U64(Res->CleanComponentsReused));
 }
 
 TEST(ObsReport, TextAndJsonForms) {

@@ -594,7 +594,7 @@ namespace {
 /// search can produce, while still passing the first-fit capacity check
 /// (per-core utilization is exactly 1.0). Message-free across cores, so
 /// candidates decompose and the incremental layers (component cache,
-/// dirty tracking, instance reuse — all default-on) carry the rounds.
+/// instance reuse — both default-on) carry the rounds.
 cfg::Config unwinnableDecoupledProblem() {
   cfg::Config C = testcfg::twoTasksOneCore();
   C.Cores.push_back(C.Cores[0]);

@@ -529,12 +529,18 @@ TEST(SnapshotCorpus, VersionSkewIsTyped) {
   ASSERT_FALSE(saveSnapshot(sampleSnapshot(), Path).isFailure());
   std::string Full = readAll(Path);
   // The u32 version lives at offset 8 (after the magic), little-endian.
-  Full[8] = static_cast<char>(Snapshot::FormatVersion + 1);
+  // A newer writer and the previous format (version 2, whose saved
+  // SearchResult still carried the dirty-tracking counts) are both skew.
   std::string P = testPath("skew.bin");
-  writeAll(P, Full);
-  Result<Snapshot> L = loadSnapshot(P);
-  ASSERT_FALSE(L.ok());
-  EXPECT_EQ(L.error().code(), ErrorCode::SnapshotVersionSkew);
+  for (uint32_t V : {Snapshot::FormatVersion + 1, 2u}) {
+    ASSERT_NE(V, Snapshot::FormatVersion);
+    Full[8] = static_cast<char>(V);
+    writeAll(P, Full);
+    Result<Snapshot> L = loadSnapshot(P);
+    ASSERT_FALSE(L.ok()) << "version " << V;
+    EXPECT_EQ(L.error().code(), ErrorCode::SnapshotVersionSkew)
+        << "version " << V;
+  }
   std::remove(P.c_str());
   std::remove(Path.c_str());
 }

@@ -58,7 +58,7 @@ TEST(Observers, R4LinkDelayExactForSeveralDelays) {
 }
 
 TEST(Observers, BrokenSchedulerIsRejected) {
-  // Mutation control: the observers must be able to fail.
+  // Negative control: the observers must be able to fail.
   auto Run = verifyBrokenTsIsCaught(5);
   ASSERT_TRUE(Run.ok()) << Run.error().message();
   EXPECT_FALSE(Run->Holds);
