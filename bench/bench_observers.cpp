@@ -104,15 +104,15 @@ BENCHMARK(BM_VerifyFullSuite)->Unit(benchmark::kMillisecond);
 
 namespace {
 
-/// The search's per-item instrumentation shape: one span with a few
+/// The search's per-simulation instrumentation shape: one span with a few
 /// integer args wrapped around each simulation run. The Simulator is
 /// reused (run() resets), exactly like the search's hot loop.
 uint64_t spanWrappedSimulation(nsa::Simulator &Sim, int Runs) {
   uint64_t Actions = 0;
   for (int I = 0; I < Runs; ++I) {
-    obs::Span ItemSpan("simulate.monolithic", "bench");
+    obs::Span ItemSpan("simulate.component", "bench");
     ItemSpan.arg("cand", I);
-    ItemSpan.arg("comp", -1);
+    ItemSpan.arg("sim", I);
     nsa::SimResult R = Sim.run();
     Actions += R.ActionCount;
     benchmark::DoNotOptimize(R.ok());

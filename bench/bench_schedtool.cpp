@@ -94,11 +94,12 @@ BENCHMARK(BM_SearchAtUtilization)
 // bigs than cores can avoid — so every reachable binding is
 // unschedulable with its first deadline miss at t <= 40, a factor 500
 // before the hyperperiod. That is the regime the acceleration layers
-// target: early exit stops at the miss, the per-core chains inherit it
-// as a horizon cap, and revisited layouts hit the verdict cache. Arg 0
-// toggles all three layers against the plain full-run search; both rows
-// execute the identical candidate sequence, so candidates_per_sec is a
-// like-for-like throughput comparison.
+// target: early exit stops each component at its miss and revisited
+// components hit the verdict cache. Arg 0 is a layer row (see
+// applyLayerRow): 1 all on, 0 the plain full-run search, 2..6 the
+// leave-one-out rows at one worker. Every row executes the identical
+// candidate sequence, so candidates_per_sec is a like-for-like
+// throughput comparison.
 static cfg::Config packedUnschedulableConfig() {
   cfg::Config Base;
   Base.Name = "packed-unschedulable";
@@ -122,8 +123,21 @@ static cfg::Config packedUnschedulableConfig() {
   return Base;
 }
 
+// The search-layer rows both headline families take as arg 0: 1 every
+// layer on; 2..5 one layer dropped (2 verdict cache, 3 early exit, 4
+// decomposition, 5 instance reuse); 6 all four off. Row 0, kept for the
+// unschedulable family's recorded baselines, drops the cache, early exit
+// and decomposition but keeps instance reuse.
+static void applyLayerRow(schedtool::SearchProblem &Problem, int Row) {
+  const bool Plain = Row == 0 || Row == 6;
+  Problem.UseVerdictCache = !Plain && Row != 2;
+  Problem.UseEarlyExit = !Plain && Row != 3;
+  Problem.UseDecomposition = !Plain && Row != 4;
+  Problem.UseInstanceReuse = Row != 5 && Row != 6;
+}
+
 static void BM_SearchUnschedulable(benchmark::State &State) {
-  bool Layers = State.range(0) != 0;
+  const int Row = static_cast<int>(State.range(0));
   int Workers = static_cast<int>(State.range(1));
   cfg::Config Base = packedUnschedulableConfig();
 
@@ -135,9 +149,7 @@ static void BM_SearchUnschedulable(benchmark::State &State) {
     Problem.Seed = 29;
     Problem.MaxIterations = 60;
     Problem.Workers = Workers;
-    Problem.UseVerdictCache = Layers;
-    Problem.UseEarlyExit = Layers;
-    Problem.UseDecomposition = Layers;
+    applyLayerRow(Problem, Row);
     Result<schedtool::SearchResult> Res =
         schedtool::searchConfiguration(Problem);
     if (!Res.ok()) {
@@ -150,7 +162,7 @@ static void BM_SearchUnschedulable(benchmark::State &State) {
     Dups += Res->DuplicateCandidates;
     Decomposed += Res->DecomposedCandidates;
   }
-  State.counters["layers"] = Layers ? 1 : 0;
+  State.counters["row"] = Row;
   State.counters["workers"] = Workers;
   State.counters["candidates_per_sec"] = benchmark::Counter(
       static_cast<double>(TotalEvaluated), benchmark::Counter::kIsRate);
@@ -164,6 +176,7 @@ static void BM_SearchUnschedulable(benchmark::State &State) {
 }
 BENCHMARK(BM_SearchUnschedulable)
     ->ArgsProduct({{0, 1}, {1, 2}})
+    ->ArgsProduct({{2, 3, 4, 5, 6}, {1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);
@@ -180,12 +193,14 @@ BENCHMARK(BM_SearchUnschedulable)
 // runs all 120 rounds without a find, with first misses at t = L/2 or
 // t = L. A boost resample changes one core's component and leaves the
 // other three byte-identical to the round base, so with the incremental
-// layers on most components replay from the component cache (the hit
-// rate climbs toward ~50% as the neighborhood revisits window splits)
-// and the rest rebind an arena instance instead of rebuilding. Arg 0
-// toggles the two incremental layers (component cache, instance reuse)
-// with the older layers on in both rows: identical candidate sequence,
-// like-for-like candidates_per_sec.
+// layers on most components replay from the verdict cache (the hit rate
+// climbs toward ~50% as the neighborhood revisits window splits) and the
+// rest rebind an arena instance instead of rebuilding. Arg 0 is a layer
+// row (see applyLayerRow): 1 all on, 2..6 the leave-one-out rows at one
+// worker. There is no row 0: until the component-cache switch was
+// removed, arg 0 = 0 ran the capped per-candidate chain, and its
+// recorded baselines measure that. Identical candidate sequence in
+// every row, like-for-like candidates_per_sec.
 static cfg::Config neighborhoodConfig() {
   gen::IndustrialParams Params;
   Params.Modules = 2;
@@ -203,7 +218,7 @@ static cfg::Config neighborhoodConfig() {
 }
 
 static void BM_SearchNeighborhood(benchmark::State &State) {
-  bool Incremental = State.range(0) != 0;
+  const int Row = static_cast<int>(State.range(0));
   int Workers = static_cast<int>(State.range(1));
   cfg::Config Base = neighborhoodConfig();
 
@@ -215,8 +230,7 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
     Problem.Seed = 41;
     Problem.MaxIterations = 120;
     Problem.Workers = Workers;
-    Problem.UseComponentCache = Incremental;
-    Problem.UseInstanceReuse = Incremental;
+    applyLayerRow(Problem, Row);
     Result<schedtool::SearchResult> Res =
         schedtool::searchConfiguration(Problem);
     if (!Res.ok()) {
@@ -228,7 +242,7 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
     CompMisses += Res->ComponentCacheMisses;
     Sims += Res->ComponentsSimulated;
   }
-  State.counters["incremental"] = Incremental ? 1 : 0;
+  State.counters["row"] = Row;
   State.counters["workers"] = Workers;
   State.counters["candidates_per_sec"] = benchmark::Counter(
       static_cast<double>(TotalEvaluated), benchmark::Counter::kIsRate);
@@ -241,7 +255,8 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
   swa::benchsupport::exportObsCounters(State);
 }
 BENCHMARK(BM_SearchNeighborhood)
-    ->ArgsProduct({{0, 1}, {1, 2}})
+    ->ArgsProduct({{1}, {1, 2}})
+    ->ArgsProduct({{2, 3, 4, 5, 6}, {1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);

@@ -10,19 +10,21 @@
 //
 //   $ ./config_search [seed] [--workers N] [--budget-ms MS]
 //                     [--no-cache] [--no-early-exit] [--no-decompose]
-//                     [--no-component-cache] [--no-incremental]
+//                     [--no-incremental]
 //                     [--checkpoint FILE] [--checkpoint-every-ms MS]
 //                     [--resume] [--trace-out FILE] [--report-out FILE]
 //                     [--strategy NAME]
 //
 // --workers evaluates candidate batches on N threads; the result is
-// byte-identical for every N. --budget-ms caps each candidate's
-// simulation wall-clock time: a candidate that exceeds it is logged as
-// skipped and the search keeps going. The --no-* flags switch off the
-// acceleration layers (verdict memoization, first-miss early exit,
-// per-core compositional evaluation, component-verdict memoization, and
-// — via --no-incremental — NSA instance reuse); the verdict stream is
-// identical either way, only the cost changes. --trace-out records
+// byte-identical for every N. --budget-ms caps the wall-clock time of
+// each simulation (a whole candidate or one of its components): a
+// candidate with a simulation that exceeds it is logged as skipped and
+// the search keeps going. The --no-* flags switch off the acceleration
+// layers: --no-cache the one verdict cache (whole configs and
+// decomposition components alike), --no-early-exit the first-miss early
+// exit, --no-decompose per-core compositional evaluation, and
+// --no-incremental NSA instance reuse; the verdict stream is identical
+// either way, only the cost changes. --trace-out records
 // per-candidate / per-component spans and writes a chrome://tracing
 // (Perfetto) timeline; --report-out writes a machine-readable
 // obs::RunReport JSON. Both turn observability on; neither changes the
@@ -74,7 +76,7 @@ int main(int argc, char **argv) {
   int Workers = 1;
   int64_t BudgetMs = -1;
   bool UseCache = true, UseEarlyExit = true, UseDecompose = true;
-  bool UseComponentCache = true, UseInstanceReuse = true;
+  bool UseInstanceReuse = true;
   const char *TraceOut = nullptr, *ReportOut = nullptr;
   const char *CheckpointPath = nullptr;
   int64_t CheckpointEveryMs = 0;
@@ -104,8 +106,6 @@ int main(int argc, char **argv) {
       UseEarlyExit = false;
     else if (std::strcmp(Arg, "--no-decompose") == 0)
       UseDecompose = false;
-    else if (std::strcmp(Arg, "--no-component-cache") == 0)
-      UseComponentCache = false;
     else if (std::strcmp(Arg, "--no-incremental") == 0)
       UseInstanceReuse = false;
     else if (std::strcmp(Arg, "--checkpoint") == 0)
@@ -157,7 +157,6 @@ int main(int argc, char **argv) {
   Problem.UseVerdictCache = UseCache;
   Problem.UseEarlyExit = UseEarlyExit;
   Problem.UseDecomposition = UseDecompose;
-  Problem.UseComponentCache = UseComponentCache;
   Problem.UseInstanceReuse = UseInstanceReuse;
 
   std::unique_ptr<schedtool::Strategy> Strat;
@@ -184,10 +183,9 @@ int main(int argc, char **argv) {
     if (S.ok()) {
       Loaded = S.takeValue();
       Problem.Resume = &Loaded;
-      std::printf("resume: loaded %s (%zu config / %zu component entries, "
-                  "%s search state)\n",
-                  CheckpointPath, Loaded.ConfigEntries.size(),
-                  Loaded.ComponentEntries.size(),
+      std::printf("resume: loaded %s (%zu cache entries, %s search "
+                  "state)\n",
+                  CheckpointPath, Loaded.Entries.size(),
                   Loaded.HasSearchState ? "with" : "no");
     } else {
       std::fprintf(stderr, "resume: %s [%s] -- starting cold\n",
@@ -226,25 +224,22 @@ int main(int argc, char **argv) {
               Res->ConfigurationsEvaluated, Res->CandidatesSkipped,
               Res->Found ? "found a schedulable one"
                          : "no schedulable configuration found");
-  if (UseCache)
+  if (UseCache) {
+    int Lookups = Res->ComponentCacheHits + Res->ComponentCacheMisses;
     std::printf("cache: %d hits / %d misses (%d symmetry folds, %d "
-                "intra-batch duplicates)\n",
+                "intra-batch duplicates); components %d hits / %d misses "
+                "(%.0f%% hit rate)\n",
                 Res->CacheHits, Res->CacheMisses, Res->SymmetryFolds,
-                Res->DuplicateCandidates);
+                Res->DuplicateCandidates, Res->ComponentCacheHits,
+                Res->ComponentCacheMisses,
+                Lookups > 0 ? 100.0 * Res->ComponentCacheHits / Lookups
+                            : 0.0);
+  }
   if (UseDecompose)
-    std::printf("decomposition: %d candidates split into %d components "
-                "(%d monolithic simulations)\n",
+    std::printf("decomposition: %d candidates split, %d components "
+                "simulated (%d whole-config simulations)\n",
                 Res->DecomposedCandidates, Res->ComponentsSimulated,
                 Res->SimulationsRun);
-  if (UseDecompose && UseComponentCache) {
-    int Lookups = Res->ComponentCacheHits + Res->ComponentCacheMisses;
-    std::printf("component cache: %d hits / %d misses (%.0f%% hit rate, "
-                "%d unique sims)\n",
-                Res->ComponentCacheHits, Res->ComponentCacheMisses,
-                Lookups > 0 ? 100.0 * Res->ComponentCacheHits / Lookups
-                            : 0.0,
-                Res->ComponentsSimulated);
-  }
   if (CheckpointPath) {
     std::printf("checkpoint: %llu snapshots written (%llu bytes), %llu "
                 "loaded (%llu bytes), %llu entries merged, %llu warm hits\n",
@@ -252,9 +247,7 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(CkptStats.BytesWritten),
                 static_cast<unsigned long long>(CkptStats.SnapshotsLoaded),
                 static_cast<unsigned long long>(CkptStats.BytesLoaded),
-                static_cast<unsigned long long>(
-                    CkptStats.ConfigEntriesMerged +
-                    CkptStats.ComponentEntriesMerged),
+                static_cast<unsigned long long>(CkptStats.EntriesMerged),
                 static_cast<unsigned long long>(CkptStats.SnapshotHits));
     if (CkptStats.WriteFailures > 0)
       std::fprintf(stderr,

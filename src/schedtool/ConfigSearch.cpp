@@ -132,8 +132,8 @@ struct Candidate {
   std::string InvalidReason;
 };
 
-/// Evaluation slot; written by exactly one worker (or filled serially
-/// from the cache / an intra-batch duplicate), read only after the whole
+/// Evaluation slot; written by exactly one worker (or stitched serially
+/// from cache hits and shared simulations), read only after the whole
 /// batch finished.
 struct Eval {
   bool Ok = false;
@@ -141,50 +141,30 @@ struct Eval {
   analysis::VerdictOutcome V;
 };
 
-/// One unit of parallel work: a candidate evaluated monolithically
-/// (Comp == kMonolithic), one decomposed component of it (Comp >= 0), a
-/// whole decomposed candidate whose components run sequentially inside
-/// the item under a shrinking first-miss horizon cap (Comp ==
-/// kCappedChain, used when early exit and decomposition combine without
-/// the component cache), or one deduplicated component shared by every
-/// candidate in the batch that needs it (Comp == kUniqueComp, Unique
-/// indexes the round's unique-sim list). The flattened item list keeps
-/// ThreadPool::parallelFor non-reentrant while work of different
-/// candidates still overlaps.
-struct WorkItem {
-  static constexpr int kMonolithic = -1;
-  static constexpr int kCappedChain = -2;
-  static constexpr int kUniqueComp = -3;
-  int Cand = -1;
-  int Comp = kMonolithic;
-  int Unique = -1;
-};
-
-/// How the component cache resolved one component of a candidate.
+/// How one component of a candidate resolved: a cache hit (stable entry
+/// address, see VerdictCache.h on entry immutability) or one of the
+/// round's simulations.
 struct PlannedComp {
-  /// Cache hit: the verdict replays from this entry (stable address —
-  /// see VerdictCache.h on entry immutability).
-  const VerdictCache::ComponentEntry *Hit = nullptr;
-  /// Cache miss: index into the round's unique-sim list.
-  int Unique = -1;
+  const VerdictCache::Entry *Hit = nullptr;
+  int Sim = -1;
 };
 
-/// A candidate's evaluation plan: its decomposition (monolithic item
-/// when D.Decomposed is false) and, with the component cache, how each
-/// component resolved against it (Comps[K] for D.Components[K]).
+/// A candidate's evaluation plan: its decomposition (not Decomposed when
+/// the whole config is its one component) and how each component
+/// resolved (Comps[K] for component K).
 struct CandPlan {
   cfg::Decomposition D;
   std::vector<PlannedComp> Comps;
 };
 
-/// One deduplicated component simulation of a round: the first candidate
-/// needing the fingerprint contributes the sub-config pointer; every
-/// later one shares the verdict.
-struct UniqueSim {
+/// One component simulation of a round — the search's only unit of
+/// parallel work. With the cache on, a key is simulated once per round
+/// and its verdict shared by every candidate that planned it; the first
+/// candidate needing it contributes the sub-config pointer.
+struct ComponentSim {
   const cfg::Config *Sub = nullptr;
   cfg::Fingerprint Canon, Raw;
   int FirstCand = -1;
-  int ItemSlot = -1;
 };
 
 /// A pool of model arenas for instance reuse. ThreadPool::parallelFor
@@ -241,34 +221,6 @@ private:
   std::unique_ptr<analysis::ModelArena> A;
 };
 
-/// Deterministic evaluation order for a capped chain: most-starved
-/// component first (largest demand-to-window-share ratio over its
-/// partitions), so the earliest deadline miss is usually discovered
-/// before the comfortably-provisioned components run — their horizons
-/// then collapse to that miss instant. A pure function of the
-/// decomposition: worker count and batch order cannot change it, and any
-/// order yields the same merged verdict (the heuristic only moves cost).
-std::vector<size_t> chainOrder(const std::vector<cfg::Component> &Comps) {
-  std::vector<double> Score(Comps.size(), 0.0);
-  for (size_t K = 0; K < Comps.size(); ++K) {
-    const cfg::Config &Sub = Comps[K].Sub;
-    for (size_t P = 0; P < Sub.Partitions.size(); ++P) {
-      double Demand = Sub.partitionUtilization(static_cast<int>(P));
-      double Supply = Sub.windowShare(static_cast<int>(P));
-      double S = Supply > 0.0 ? Demand / Supply
-                              : (Demand > 0.0 ? 1e18 : 0.0);
-      Score[K] = std::max(Score[K], S);
-    }
-  }
-  std::vector<size_t> Order(Comps.size());
-  for (size_t K = 0; K < Order.size(); ++K)
-    Order[K] = K;
-  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return Score[A] > Score[B];
-  });
-  return Order;
-}
-
 /// Per-candidate perturbation seed: a pure function of (Seed, Round, J),
 /// never of the thread that evaluates the candidate.
 uint64_t candidateSeed(uint64_t Seed, int Round, int J) {
@@ -298,8 +250,9 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
   // shard), cached here so the loop pays one pointer test per event when
   // metrics are off. Only the calling thread touches these; workers
   // publish engine-level counters into their own shards, and the merged
-  // totals are identical for every Workers value because the work-item
-  // set and each item's publications are fixed by (Seed, BatchSize).
+  // totals are identical for every Workers value because the simulation
+  // list and each simulation's publications are fixed by (Seed,
+  // BatchSize).
   obs::Counter *CandC = nullptr, *SimC = nullptr, *SchedC = nullptr;
   obs::Counter *HitC = nullptr, *MissC = nullptr, *FoldC = nullptr;
   obs::Counter *DecompC = nullptr, *CompC = nullptr;
@@ -348,28 +301,27 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
   };
 
   VerdictCache Cache;
-  // Per-round scratch for the cache / decomposition pipeline.
-  std::vector<cfg::Fingerprint> Canon, Raw;
-  std::vector<int> DupOf;
-  // Verdict provenance per candidate, for the "candidate" span: 0 =
+  // Per-round scratch for the plan / evaluate pipeline. Src is the
+  // verdict provenance per candidate, for the "candidate" span: 0 =
   // simulated, 1 = cache hit, 2 = symmetry fold, 3 = intra-batch dup.
+  // Planned resolves every component key the round has planned.
   std::vector<int> Src;
-  std::vector<int> SimList;
   std::vector<CandPlan> Plans;
-  std::vector<UniqueSim> UniqueSims;
-  std::unordered_map<cfg::Fingerprint, int, cfg::FingerprintHash> UniqueOf;
-  std::vector<WorkItem> Items;
-  std::vector<Eval> ItemEvals;
-
-  const bool CompCache = Problem.UseDecomposition && Problem.UseComponentCache;
+  std::unordered_map<cfg::Fingerprint, PlannedComp, cfg::FingerprintHash>
+      Planned;
+  std::vector<ComponentSim> Sims;
+  std::vector<Eval> SimEvals;
   ArenaPool Arenas;
 
-  // Guard rails handed to every candidate simulation. When neither is set
-  // the options are all-default and the evaluation path is bit-for-bit
-  // the pre-guard-rail one.
-  nsa::SimOptions CandOpts;
-  CandOpts.WallClockBudgetMs = Problem.CandidateBudgetMs;
-  CandOpts.Cancel = Problem.Cancel;
+  // Every simulation runs to the global horizon with the early exit the
+  // flags allow, under the guard rails (each Simulator::run gets its own
+  // CandidateBudgetMs). A verdict's decision fields are then cap-free, so
+  // a cached one is valid for any later candidate.
+  nsa::SimOptions SimOpts;
+  SimOpts.WallClockBudgetMs = Problem.CandidateBudgetMs;
+  SimOpts.Cancel = Problem.Cancel;
+  SimOpts.StopOnFirstMiss = Problem.UseEarlyExit;
+  SimOpts.Horizon = L;
 
   // --- Durable search: resume + checkpoint plumbing --------------------
   // The identity CRC guards both directions: a snapshot resumes only the
@@ -423,11 +375,9 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
         return Error::failure(ErrorCode::SnapshotCorrupt,
                               "malformed strategy state in snapshot");
     }
-    auto [NCfg, NComp] = S.seedCache(Cache);
-    if (Problem.CkptStats) {
-      Problem.CkptStats->ConfigEntriesMerged += NCfg;
-      Problem.CkptStats->ComponentEntriesMerged += NComp;
-    }
+    uint64_t Merged = S.seedCache(Cache);
+    if (Problem.CkptStats)
+      Problem.CkptStats->EntriesMerged += Merged;
     // A snapshot of a *finished* search restores a final result; nothing
     // is left to run, and replaying the finding round would double-count
     // its candidates into the restored counters.
@@ -517,11 +467,6 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
         C.Valid = true;
     }
 
-    // Cache consultation — strictly serial and against the pre-batch
-    // cache state, so the hit pattern is a pure function of the candidate
-    // sequence (independent of Workers/BatchSize timing). Intra-batch
-    // fingerprint collisions are marked as duplicates and resolved after
-    // the batch from the first occurrence's verdict.
     const int RoundHits0 = Res.CacheHits, RoundMisses0 = Res.CacheMisses;
     const int RoundFolds0 = Res.SymmetryFolds;
     const int RoundDups0 = Res.DuplicateCandidates;
@@ -530,6 +475,7 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
     const int RoundSims0 = Res.SimulationsRun;
     const int RoundCompHits0 = Res.ComponentCacheHits;
     const int RoundCompMisses0 = Res.ComponentCacheMisses;
+    int RoundValid = 0;
 
     // Per-round acceleration statistics: round-summary log lines plus
     // the matching obs counter deltas. One flush per round, invoked both
@@ -543,24 +489,29 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
     auto FlushRoundStats = [&]() {
       if (Problem.UseVerdictCache) {
         Res.Log.push_back(formatString(
-            "round %d: cache %d hits / %d misses / %d folds / %d dups "
-            "(%d entries)",
+            "round %d: cache %d hits / %d misses / %d folds / %d dups; "
+            "components %d hits / %d misses (%d entries)",
             Round, Res.CacheHits - RoundHits0, Res.CacheMisses - RoundMisses0,
             Res.SymmetryFolds - RoundFolds0,
             Res.DuplicateCandidates - RoundDups0,
+            Res.ComponentCacheHits - RoundCompHits0,
+            Res.ComponentCacheMisses - RoundCompMisses0,
             static_cast<int>(Cache.size())));
         if (HitC) {
           HitC->add(static_cast<uint64_t>(Res.CacheHits - RoundHits0));
           MissC->add(static_cast<uint64_t>(Res.CacheMisses - RoundMisses0));
           FoldC->add(static_cast<uint64_t>(Res.SymmetryFolds - RoundFolds0));
+          CompHitC->add(
+              static_cast<uint64_t>(Res.ComponentCacheHits - RoundCompHits0));
+          CompMissC->add(static_cast<uint64_t>(Res.ComponentCacheMisses -
+                                               RoundCompMisses0));
         }
       }
       if (Problem.UseDecomposition) {
         Res.Log.push_back(formatString(
-            "round %d: decomposed %d/%d simulated candidates into %d "
-            "components",
-            Round, Res.DecomposedCandidates - RoundDecomp0,
-            static_cast<int>(SimList.size()),
+            "round %d: decomposed %d/%d valid candidates; %d components "
+            "simulated",
+            Round, Res.DecomposedCandidates - RoundDecomp0, RoundValid,
             Res.ComponentsSimulated - RoundComps0));
         if (DecompC) {
           DecompC->add(
@@ -569,269 +520,128 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
               static_cast<uint64_t>(Res.ComponentsSimulated - RoundComps0));
         }
       }
-      if (CompCache) {
-        Res.Log.push_back(formatString(
-            "round %d: component cache %d hits / %d misses / %d simulated "
-            "(%d entries)",
-            Round, Res.ComponentCacheHits - RoundCompHits0,
-            Res.ComponentCacheMisses - RoundCompMisses0,
-            Res.ComponentsSimulated - RoundComps0,
-            static_cast<int>(Cache.componentSize())));
-        if (CompHitC) {
-          CompHitC->add(
-              static_cast<uint64_t>(Res.ComponentCacheHits - RoundCompHits0));
-          CompMissC->add(static_cast<uint64_t>(Res.ComponentCacheMisses -
-                                               RoundCompMisses0));
-        }
-      }
       if (SimC)
         SimC->add(
             static_cast<uint64_t>(Res.SimulationsRun - RoundSims0) +
             static_cast<uint64_t>(Res.ComponentsSimulated - RoundComps0));
     };
-    SimList.clear();
-    DupOf.assign(static_cast<size_t>(N), -1);
+
+    // Planning — strictly serial and against the pre-batch cache state,
+    // so the hit pattern and the simulation list are pure functions of
+    // the candidate sequence (independent of Workers/BatchSize timing).
+    // Every valid candidate is a list of components: its
+    // cfg::decomposeConfig split, or the whole config as its one
+    // component. With the cache on, a candidate whose component keys
+    // were all planned by earlier candidates of the round is an
+    // intra-batch duplicate, decided before any lookup; every other
+    // candidate looks its components up, and each missing key joins the
+    // round's simulation list once, in order of first need. With the
+    // cache off nothing is fingerprinted: every component is simulated.
     Src.assign(static_cast<size_t>(N), 0);
-    if (Problem.UseVerdictCache) {
-      Canon.assign(static_cast<size_t>(N), {});
-      Raw.assign(static_cast<size_t>(N), {});
-      for (int J = 0; J < N; ++J) {
-        Candidate &C = Cands[static_cast<size_t>(J)];
-        if (!C.Valid)
-          continue;
-        Canon[static_cast<size_t>(J)] = cfg::fingerprintConfig(C.Config);
-        Raw[static_cast<size_t>(J)] =
-            cfg::fingerprintConfig(C.Config, /*CanonicalizeCores=*/false);
-        int Dup = -1;
-        for (int I = 0; I < J; ++I)
-          if (Cands[static_cast<size_t>(I)].Valid &&
-              Canon[static_cast<size_t>(I)] == Canon[static_cast<size_t>(J)]) {
-            Dup = I;
-            break;
-          }
-        if (Dup >= 0) {
-          DupOf[static_cast<size_t>(J)] = Dup;
-          Src[static_cast<size_t>(J)] = 3;
-          ++Res.DuplicateCandidates;
-          continue;
-        }
-        if (const VerdictCache::Entry *E =
-                Cache.lookup(Canon[static_cast<size_t>(J)])) {
-          Eval &EV = Evals[static_cast<size_t>(J)];
-          EV.Ok = true;
-          EV.V = E->Verdict;
-          if (E->FromSnapshot) {
-            // Warm-from-disk hit: counted outside SearchResult (the
-            // provenance depends on resume, which the result must not).
-            if (Problem.CkptStats)
-              ++Problem.CkptStats->SnapshotHits;
-            if (SnapHitC)
-              SnapHitC->add(1);
-          }
-          ++Res.CacheHits;
-          Src[static_cast<size_t>(J)] = 1;
-          if (E->Raw != Raw[static_cast<size_t>(J)]) {
-            ++Res.SymmetryFolds;
-            Src[static_cast<size_t>(J)] = 2;
-          }
-        } else {
-          ++Res.CacheMisses;
-          SimList.push_back(J);
-        }
-      }
-    } else {
-      for (int J = 0; J < N; ++J)
-        if (Cands[static_cast<size_t>(J)].Valid)
-          SimList.push_back(J);
-    }
-
-    // Component planning — also serial: each to-be-simulated candidate
-    // is decomposed (cfg::decomposeConfig) before any thread runs. With
-    // the component cache the components are then resolved against the
-    // cache and misses deduplicated into one unique-sim list for the
-    // round, in order of first need, so the fill order — like the hit
-    // pattern — is a pure function of the candidate sequence. Finally one
-    // flattened item list (monolithic candidates, individual components,
-    // capped chains and unique sims side by side) is dispatched in a
-    // single parallelFor, so the pool is never re-entered and small
-    // components of different candidates overlap freely.
     Plans.assign(static_cast<size_t>(N), CandPlan());
-    UniqueSims.clear();
-    UniqueOf.clear();
-    Items.clear();
-
-    for (int J : SimList) {
+    Planned.clear();
+    Sims.clear();
+    auto AddSim = [&](const cfg::Config &Sub, const cfg::Fingerprint &Canon,
+                      const cfg::Fingerprint &Raw, int J, bool Whole) {
+      ++(Whole ? Res.SimulationsRun : Res.ComponentsSimulated);
+      Sims.push_back({&Sub, Canon, Raw, J});
+      return static_cast<int>(Sims.size()) - 1;
+    };
+    for (int J = 0; J < N; ++J) {
+      const Candidate &C = Cands[static_cast<size_t>(J)];
+      if (!C.Valid)
+        continue;
+      ++RoundValid;
       CandPlan &Plan = Plans[static_cast<size_t>(J)];
       if (Problem.UseDecomposition)
-        Plan.D = cfg::decomposeConfig(Cands[static_cast<size_t>(J)].Config);
-      if (!Plan.D.Decomposed) {
-        ++Res.SimulationsRun;
-        Items.push_back({J, WorkItem::kMonolithic, -1});
+        Plan.D = cfg::decomposeConfig(C.Config);
+      const bool Whole = !Plan.D.Decomposed;
+      if (!Whole)
+        ++Res.DecomposedCandidates;
+      auto SubOf = [&](size_t K) -> const cfg::Config & {
+        return Whole ? C.Config : Plan.D.Components[K].Sub;
+      };
+      const size_t NC = Whole ? 1 : Plan.D.Components.size();
+      Plan.Comps.assign(NC, PlannedComp());
+      if (!Problem.UseVerdictCache) {
+        for (size_t K = 0; K < NC; ++K)
+          Plan.Comps[K].Sim = AddSim(SubOf(K), {}, {}, J, Whole);
         continue;
       }
-      ++Res.DecomposedCandidates;
-      const std::vector<cfg::Component> &Comps = Plan.D.Components;
-      if (CompCache) {
-        // Resolve each component against the cache. Misses join the
-        // round's unique-sim list (first occurrence wins the slot); the
-        // candidate contributes no work item of its own — its verdict is
-        // stitched from hits and shared sims after the batch.
-        Plan.Comps.assign(Comps.size(), PlannedComp());
-        for (size_t K = 0; K < Comps.size(); ++K) {
-          PlannedComp &PC = Plan.Comps[K];
-          cfg::Fingerprint CanonK = cfg::fingerprintComponent(Comps[K].Sub, L);
-          cfg::Fingerprint RawK = cfg::fingerprintComponent(
-              Comps[K].Sub, L, /*CanonicalizeCores=*/false);
-          if (const VerdictCache::ComponentEntry *CE =
-                  Cache.lookupComponent(CanonK)) {
-            PC.Hit = CE;
-            if (CE->FromSnapshot) {
-              if (Problem.CkptStats)
-                ++Problem.CkptStats->SnapshotHits;
-              if (SnapHitC)
-                SnapHitC->add(1);
-            }
-            ++Res.ComponentCacheHits;
-            continue;
-          }
-          ++Res.ComponentCacheMisses;
-          auto Ins =
-              UniqueOf.emplace(CanonK, static_cast<int>(UniqueSims.size()));
-          if (Ins.second) {
-            UniqueSims.push_back({&Comps[K].Sub, CanonK, RawK, J, -1});
-            ++Res.ComponentsSimulated;
-          }
-          PC.Unique = Ins.first->second;
+      bool AnyNew = false;
+      for (size_t K = 0; K < NC; ++K) {
+        cfg::Fingerprint Key = cfg::fingerprintComponent(SubOf(K), L);
+        auto [It, New] = Planned.try_emplace(Key);
+        PlannedComp &PC = It->second;
+        if (New) {
+          AnyNew = true;
+          PC.Hit = Cache.lookup(Key);
+          if (!PC.Hit)
+            PC.Sim = AddSim(SubOf(K), Key,
+                            cfg::fingerprintComponent(
+                                SubOf(K), L, /*CanonicalizeCores=*/false),
+                            J, Whole);
         }
+        Plan.Comps[K] = PC;
+      }
+      if (!AnyNew) {
+        ++Res.DuplicateCandidates;
+        Src[static_cast<size_t>(J)] = 3;
         continue;
       }
-      Res.ComponentsSimulated += static_cast<int>(Comps.size());
-      // With early exit on, the candidate's components run sequentially
-      // in one item so each later component inherits the earliest miss
-      // found so far as its horizon cap — a passing component then costs
-      // min(first miss, L) instead of L, exactly what the monolithic
-      // early-exit run pays.
-      if (Problem.UseEarlyExit) {
-        Items.push_back({J, WorkItem::kCappedChain, -1});
-      } else {
-        for (size_t K = 0; K < Comps.size(); ++K)
-          Items.push_back({J, static_cast<int>(K), -1});
+      bool AllHit = true, Folded = false;
+      for (size_t K = 0; K < NC; ++K) {
+        const PlannedComp &PC = Plan.Comps[K];
+        if (!PC.Hit) {
+          ++Res.ComponentCacheMisses;
+          AllHit = false;
+          continue;
+        }
+        ++Res.ComponentCacheHits;
+        if (PC.Hit->FromSnapshot) {
+          // Warm-from-disk hit: counted outside SearchResult (the
+          // provenance depends on resume, which the result must not).
+          if (Problem.CkptStats)
+            ++Problem.CkptStats->SnapshotHits;
+          if (SnapHitC)
+            SnapHitC->add(1);
+        }
+        if (PC.Hit->Raw != cfg::fingerprintComponent(
+                               SubOf(K), L, /*CanonicalizeCores=*/false)) {
+          ++Res.SymmetryFolds;
+          Folded = true;
+        }
       }
-    }
-    // Unique sims run full-horizon with the early exit the flags allow:
-    // the verdict's invariant fields are cap-free, so the entry is valid
-    // for any future candidate regardless of what its siblings miss.
-    for (size_t U = 0; U < UniqueSims.size(); ++U) {
-      UniqueSims[U].ItemSlot = static_cast<int>(Items.size());
-      Items.push_back({UniqueSims[U].FirstCand, WorkItem::kUniqueComp,
-                       static_cast<int>(U)});
+      if (AllHit) {
+        ++Res.CacheHits;
+        Src[static_cast<size_t>(J)] = Folded ? 2 : 1;
+      } else {
+        ++Res.CacheMisses;
+      }
     }
 
-    // Evaluate the batch. Each worker builds its own model and simulator
-    // (no shared mutable state) and publishes counters, phase timings and
-    // spans into its own thread shard, so attaching more workers cannot
-    // race on the registry — and the merged totals stay identical because
-    // every item publishes the same numbers on whichever thread runs it.
-    ItemEvals.assign(Items.size(), Eval());
-    auto RunItem = [&](int I) {
-      const WorkItem &It = Items[static_cast<size_t>(I)];
-      obs::Span ItemSpan(It.Comp == WorkItem::kMonolithic
-                             ? "simulate.monolithic"
-                             : (It.Comp == WorkItem::kCappedChain
-                                    ? "simulate.chain"
-                                    : "simulate.component"),
-                         "search");
-      ItemSpan.arg("cand", It.Cand);
-      if (It.Comp >= 0)
-        ItemSpan.arg("comp", It.Comp);
-      if (It.Unique >= 0)
-        ItemSpan.arg("unique", It.Unique);
-      // Each item leases a model arena for instance reuse and returns it
-      // for whatever item runs next. Verdicts are arena-independent, so
-      // the lease pattern — a timing fact — only moves wall-clock.
+    // Evaluate the round's simulations in a single parallelFor, so the
+    // pool is never re-entered and small components of different
+    // candidates overlap freely. Each worker builds its own model and
+    // simulator (no shared mutable state) and publishes counters, phase
+    // timings and spans into its own thread shard, so attaching more
+    // workers cannot race on the registry — and the merged totals stay
+    // identical because every simulation publishes the same numbers on
+    // whichever thread runs it.
+    SimEvals.assign(Sims.size(), Eval());
+    auto RunSim = [&](int I) {
+      const ComponentSim &S = Sims[static_cast<size_t>(I)];
+      obs::Span SimSpan("simulate.component", "search");
+      SimSpan.arg("cand", S.FirstCand);
+      SimSpan.arg("sim", I);
+      // Each simulation leases a model arena for instance reuse and
+      // returns it for whatever simulation runs next. Verdicts are
+      // arena-independent, so the lease pattern — a timing fact — only
+      // moves wall-clock.
       ArenaLease Lease(Problem.UseInstanceReuse ? &Arenas : nullptr);
-      analysis::ModelArena *Arena = Lease.get();
-      nsa::SimOptions Opt = CandOpts;
-      Opt.StopOnFirstMiss = Problem.UseEarlyExit;
-      Eval &E = ItemEvals[static_cast<size_t>(I)];
-      if (It.Unique >= 0) {
-        // One deduplicated component at the full global horizon: the
-        // verdict must be cap-free so the component cache can serve it
-        // to any candidate.
-        Opt.Horizon = L;
-        Result<analysis::VerdictOutcome> Out = analysis::analyzeVerdictOnly(
-            *UniqueSims[static_cast<size_t>(It.Unique)].Sub, Opt, Arena);
-        if (Out.ok()) {
-          E.Ok = true;
-          E.V = std::move(*Out);
-        } else {
-          E.ErrMsg = Out.error().message();
-        }
-        return;
-      }
-      if (It.Comp == WorkItem::kCappedChain) {
-        // Early exit + decomposition: run the components in index order,
-        // shrinking the horizon to the earliest miss seen so far. A miss
-        // at exactly the horizon is still detected (the simulator treats
-        // actions at the horizon as inside the window), so the merged
-        // FirstMissTime/FirstMissTasks are identical to independent
-        // full-horizon component runs — later misses that the cap hides
-        // cannot win the min and are invisible to the merge.
-        const std::vector<cfg::Component> &Comps =
-            Plans[static_cast<size_t>(It.Cand)].D.Components;
-        std::vector<analysis::ComponentVerdict> Parts;
-        Parts.reserve(Comps.size());
-        int64_t Cap = L;
-        bool AllOk = true;
-        for (size_t K : chainOrder(Comps)) {
-          const cfg::Component &Comp = Comps[K];
-          obs::Span CompSpan("simulate.component", "search");
-          CompSpan.arg("cand", It.Cand);
-          CompSpan.arg("comp", static_cast<int64_t>(K));
-          nsa::SimOptions ChainOpt = Opt;
-          ChainOpt.Horizon = Cap;
-          Result<analysis::VerdictOutcome> Out =
-              analysis::analyzeVerdictOnly(Comp.Sub, ChainOpt, Arena);
-          if (!Out.ok()) {
-            if (AllOk) // first failing component wins, deterministically
-              E.ErrMsg = Out.error().message();
-            AllOk = false;
-            continue;
-          }
-          if (Out->FirstMissTime >= 0 && Out->FirstMissTime < Cap)
-            Cap = Out->FirstMissTime;
-          bool Decided = Out->decided();
-          Parts.push_back({std::move(*Out), Comp.GidMap});
-          // A guard-rail stop (budget, cancel) already makes the merged
-          // verdict undecided with this component's StopReason — running
-          // the rest of the chain would spend a fresh per-run budget per
-          // remaining component (a K-component candidate could take K×
-          // CandidateBudgetMs) and would keep simulating after a cancel.
-          if (!Decided)
-            break;
-        }
-        if (AllOk) {
-          E.Ok = true;
-          E.V = analysis::mergeComponentVerdicts(
-              Parts,
-              Cands[static_cast<size_t>(It.Cand)].Config.numTasks());
-        }
-        return;
-      }
-      const cfg::Config *Cfg;
-      if (It.Comp >= 0) {
-        Cfg = &Plans[static_cast<size_t>(It.Cand)]
-                   .D.Components[static_cast<size_t>(It.Comp)]
-                   .Sub;
-        // Components carry their own (smaller) hyperperiod; simulate to
-        // the global one so backlog beyond it is observed exactly as the
-        // monolithic run observes it.
-        Opt.Horizon = L;
-      } else {
-        Cfg = &Cands[static_cast<size_t>(It.Cand)].Config;
-      }
       Result<analysis::VerdictOutcome> Out =
-          analysis::analyzeVerdictOnly(*Cfg, Opt, Arena);
+          analysis::analyzeVerdictOnly(*S.Sub, SimOpts, Lease.get());
+      Eval &E = SimEvals[static_cast<size_t>(I)];
       if (Out.ok()) {
         E.Ok = true;
         E.V = std::move(*Out);
@@ -839,102 +649,54 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
         E.ErrMsg = Out.error().message();
       }
     };
+    Pool.parallelFor(static_cast<int>(Sims.size()), RunSim);
 
-    Pool.parallelFor(static_cast<int>(Items.size()), RunItem);
+    // Fill the cache from the round's simulations, in order of first
+    // need — a serial-path fact. Undecided verdicts (guard-rail stops)
+    // are rejected by insert itself; failed simulations leave no entry.
+    if (Problem.UseVerdictCache)
+      for (size_t I = 0; I < Sims.size(); ++I)
+        if (SimEvals[I].Ok)
+          Cache.insert(Sims[I].Canon, Sims[I].Raw, SimEvals[I].V);
 
-    // Fill the component cache from the round's unique sims, in order of
-    // first need — like the whole-config fills, a serial-path fact.
-    // Undecided verdicts (guard-rail stops) are rejected by insertComponent
-    // itself; failed items simply leave no entry.
-    if (CompCache)
-      for (const UniqueSim &U : UniqueSims) {
-        const Eval &UE = ItemEvals[static_cast<size_t>(U.ItemSlot)];
-        if (UE.Ok)
-          Cache.insertComponent(U.Canon, U.Raw, UE.V);
-      }
-
-    // Assemble per-candidate verdicts in candidate order: merge component
-    // results, insert decided verdicts into the cache, then resolve
-    // intra-batch duplicates from their first occurrence.
-    {
-      size_t ItemAt = 0;
-      for (int J : SimList) {
-        Eval &E = Evals[static_cast<size_t>(J)];
-        const CandPlan &Plan = Plans[static_cast<size_t>(J)];
-        const std::vector<cfg::Component> &Comps = Plan.D.Components;
-        if (Plan.D.Decomposed && CompCache) {
-          // Stitch the verdict from cache hits and shared unique sims —
-          // the candidate had no work item of its own. Verdicts are
-          // copied, never moved: a unique sim's result may serve several
-          // candidates of the batch.
-          std::vector<analysis::ComponentVerdict> Parts;
-          Parts.reserve(Comps.size());
-          bool AllOk = true;
-          for (size_t K = 0; K < Comps.size(); ++K) {
-            const PlannedComp &PC = Plan.Comps[K];
-            if (PC.Hit) {
-              Parts.push_back({PC.Hit->Verdict, Comps[K].GidMap});
-              continue;
-            }
-            const Eval &IE = ItemEvals[static_cast<size_t>(
-                UniqueSims[static_cast<size_t>(PC.Unique)].ItemSlot)];
-            if (!IE.Ok) {
-              if (AllOk) // first failing component wins, deterministically
-                E.ErrMsg = IE.ErrMsg;
-              AllOk = false;
-              continue;
-            }
-            Parts.push_back({IE.V, Comps[K].GidMap});
-          }
-          if (AllOk) {
-            E.Ok = true;
-            E.V = analysis::mergeComponentVerdicts(
-                Parts, Cands[static_cast<size_t>(J)].Config.numTasks());
-          }
-        } else if (Plan.D.Decomposed && Problem.UseEarlyExit) {
-          // Capped-chain items merged their components inside the worker;
-          // the single slot already holds the candidate verdict.
-          E = std::move(ItemEvals[ItemAt]);
-          ++ItemAt;
-        } else if (Plan.D.Decomposed) {
-          std::vector<analysis::ComponentVerdict> Parts;
-          Parts.reserve(Comps.size());
-          bool AllOk = true;
-          for (size_t K = 0; K < Comps.size(); ++K, ++ItemAt) {
-            Eval &IE = ItemEvals[ItemAt];
-            if (!IE.Ok) {
-              if (AllOk) // first failing component wins, deterministically
-                E.ErrMsg = IE.ErrMsg;
-              AllOk = false;
-              continue;
-            }
-            Parts.push_back({std::move(IE.V), Comps[K].GidMap});
-          }
-          if (AllOk) {
-            E.Ok = true;
-            E.V = analysis::mergeComponentVerdicts(
-                Parts, Cands[static_cast<size_t>(J)].Config.numTasks());
-          }
-        } else {
-          E = std::move(ItemEvals[ItemAt]);
-          ++ItemAt;
+    // Assemble per-candidate verdicts from cache hits and the round's
+    // simulations. A whole-config component's verdict is the candidate's
+    // as-is; a decomposed candidate merges its components'. Verdicts are
+    // copied, never moved: one simulation may serve several candidates.
+    for (int J = 0; J < N; ++J) {
+      const CandPlan &Plan = Plans[static_cast<size_t>(J)];
+      if (Plan.Comps.empty())
+        continue; // invalid candidate
+      Eval &E = Evals[static_cast<size_t>(J)];
+      std::vector<analysis::ComponentVerdict> Parts;
+      Parts.reserve(Plan.Comps.size());
+      for (size_t K = 0; K < Plan.Comps.size(); ++K) {
+        const PlannedComp &PC = Plan.Comps[K];
+        const Eval *SE =
+            PC.Hit ? nullptr : &SimEvals[static_cast<size_t>(PC.Sim)];
+        if (SE && !SE->Ok) { // the first failing component's error wins
+          E.ErrMsg = SE->ErrMsg;
+          break;
         }
-        if (Problem.UseVerdictCache && E.Ok)
-          Cache.insert(Canon[static_cast<size_t>(J)],
-                       Raw[static_cast<size_t>(J)], E.V);
+        Parts.push_back({SE ? SE->V : PC.Hit->Verdict,
+                         Plan.D.Decomposed ? Plan.D.Components[K].GidMap
+                                           : std::vector<int32_t>()});
       }
+      if (Parts.size() != Plan.Comps.size())
+        continue;
+      E.Ok = true;
+      E.V = Plan.D.Decomposed
+                ? analysis::mergeComponentVerdicts(
+                      Parts, Cands[static_cast<size_t>(J)].Config.numTasks())
+                : std::move(Parts.front().Verdict);
     }
-    for (int J = 0; J < N; ++J)
-      if (DupOf[static_cast<size_t>(J)] >= 0)
-        Evals[static_cast<size_t>(J)] =
-            Evals[static_cast<size_t>(DupOf[static_cast<size_t>(J)])];
 
     // Reduce in candidate order: logs, counters, best-so-far and the
     // returned error (if any) are those of the lowest-index candidate,
     // independent of evaluation order. Every logged quantity (badness,
     // first-miss instant, first-miss task count) is invariant under the
-    // three acceleration layers, so the per-iteration log is identical
-    // for any flag combination.
+    // acceleration layers, so the per-iteration log is identical for any
+    // flag combination.
     int RoundBest = -1;
     int64_t RoundBestBadness = -1;
     for (int J = 0; J < N; ++J) {
@@ -948,22 +710,16 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
       Eval &E = Evals[static_cast<size_t>(J)];
       if (!E.Ok)
         return Error::failure(E.ErrMsg);
-      // Per-candidate metadata span: fingerprint, verdict provenance
-      // (src: 0 sim / 1 hit / 2 fold / 3 dup), stop reason, badness. The
-      // span rides the serial reduce, so its args — like the counters —
-      // are identical for any worker count.
+      // Per-candidate metadata span: verdict provenance (src: 0 sim /
+      // 1 hit / 2 fold / 3 dup), stop reason, badness. The span rides the
+      // serial reduce, so its args — like the counters — are identical
+      // for any worker count.
       obs::Span CandSpan("candidate", "search");
-      if (Problem.UseVerdictCache) {
-        CandSpan.arg("fp_hi", static_cast<int64_t>(
-                                  Canon[static_cast<size_t>(J)].Hi));
-        CandSpan.arg("fp_lo", static_cast<int64_t>(
-                                  Canon[static_cast<size_t>(J)].Lo));
-      }
       CandSpan.arg("src", Src[static_cast<size_t>(J)]);
       CandSpan.arg("stop", static_cast<int64_t>(E.V.Stop));
       ++Res.StopReasonCounts[static_cast<size_t>(E.V.Stop)];
       if (!E.V.decided()) {
-        // The guard rails (per-candidate budget / cancellation) ended the
+        // The guard rails (a simulation's budget / cancellation) ended a
         // run before a verdict existed: record the reason and move on —
         // a timed-out candidate never aborts the batch.
         ++Res.CandidatesSkipped;

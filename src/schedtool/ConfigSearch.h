@@ -56,22 +56,31 @@ struct SearchProblem {
   /// independent of Workers so changing the thread count never changes
   /// which configurations are explored.
   int BatchSize = 4;
-  /// Per-candidate wall-clock budget in milliseconds; negative = none. A
-  /// candidate whose simulation outlives the budget is recorded as
-  /// skipped (with the reason in the log) and the search continues — the
-  /// batch is never aborted. When no budget ever fires, the SearchResult
-  /// is byte-identical to a run without a budget, for any worker count.
+  /// Wall-clock budget in milliseconds for each Simulator::run the search
+  /// makes — a whole candidate or one of its components, each with its
+  /// own budget, so a candidate split into K components can take up to K
+  /// budgets; negative = none. A candidate with a simulation that
+  /// outlives its budget is recorded as skipped (with the reason in the
+  /// log) and the search continues — the batch is never aborted. When no
+  /// budget ever fires, the SearchResult is byte-identical to a run
+  /// without a budget, for any worker count.
   int64_t CandidateBudgetMs = -1;
   /// Cooperative cancellation for the whole search: polled between rounds
   /// and passed to every candidate simulation, so an in-flight batch winds
   /// down quickly.
   const CancelToken *Cancel = nullptr;
-  /// Memoize verdicts under the canonical structural fingerprint
-  /// (cfg::fingerprintConfig): revisited and symmetry-equivalent
-  /// candidates skip the simulation. Hits are observationally identical
-  /// to re-evaluation — the SearchResult is byte-identical with the cache
-  /// on or off, for any Workers/BatchSize (the cache is consulted and
-  /// filled only on the serial reduce path).
+  /// Memoize component verdicts (VerdictCache.h) under
+  /// cfg::fingerprintComponent — a decomposition component, or the whole
+  /// config when the candidate does not split: revisited and
+  /// symmetry-equivalent components skip the simulation, and a candidate
+  /// whose components all hit never constructs a simulator. Missing
+  /// components are simulated once per distinct fingerprint per round
+  /// and shared by every candidate in the batch that needs them. Hits
+  /// are observationally identical to re-evaluation — the verdict stream
+  /// is identical with the cache on or off, and the SearchResult is
+  /// byte-identical for any Workers/BatchSize (the cache is consulted and
+  /// filled only on the serial path). Off, nothing is fingerprinted and
+  /// every component of every valid candidate is simulated.
   bool UseVerdictCache = true;
   /// Stop each candidate simulation at the first deadline miss
   /// (nsa::SimOptions::StopOnFirstMiss) instead of running to the
@@ -81,19 +90,13 @@ struct SearchProblem {
   /// Split candidates along the inter-core message graph
   /// (cfg::decomposeConfig) and simulate the independent components as
   /// separate, smaller NSA instances — in parallel across the worker
-  /// pool — then merge (analysis::mergeComponentVerdicts). Candidates
-  /// that do not decompose fall back to the monolithic run.
+  /// pool — then merge (analysis::mergeComponentVerdicts). A candidate
+  /// that does not decompose is evaluated as one whole-config component.
   bool UseDecomposition = true;
-  /// Memoize *component* verdicts under cfg::fingerprintComponent (the
-  /// second cache level): a perturbation changes one or two components,
-  /// and every unchanged component's verdict replays from the cache — a
-  /// candidate whose components all hit never constructs a simulator.
-  /// Missing components are simulated once per distinct fingerprint per
-  /// round (full horizon, so the verdict is cap-free and cacheable) and
-  /// shared by every candidate in the batch that needs them. Like the
-  /// whole-config cache, lookups and fills ride the serial path only, so
-  /// the hit pattern — and the SearchResult — is Workers-independent.
-  /// No effect unless UseDecomposition is on.
+  /// Ignored. Component verdicts used to sit in a second cache level
+  /// beside whole-config ones; UseVerdictCache now governs the one
+  /// cache. The member stays only so existing callers that assign it
+  /// still compile.
   bool UseComponentCache = true;
   /// Ignored. Component planning used to be derived from each
   /// candidate's mutation delta; every decomposed candidate is now
@@ -112,13 +115,13 @@ struct SearchProblem {
   /// Durable search (schedtool/Snapshot.h). When non-empty, the search
   /// checkpoints to this path at round boundaries — atomically (see
   /// support::AtomicFile), so a crash at any instant leaves the previous
-  /// checkpoint intact. A checkpoint captures the verdict cache (both
-  /// levels) and the full loop state; resuming from it replays the
-  /// remaining rounds exactly, so a search killed at any checkpoint and
-  /// resumed produces a SearchResult byte-identical to the uninterrupted
-  /// run, for any Workers value and any acceleration-layer mask. A
-  /// checkpoint *write* failure is recorded in CkptStats and the search
-  /// continues unchanged: durability is best-effort, results are not.
+  /// checkpoint intact. A checkpoint captures the verdict cache and the
+  /// full loop state; resuming from it replays the remaining rounds
+  /// exactly, so a search killed at any checkpoint and resumed produces
+  /// a SearchResult byte-identical to the uninterrupted run, for any
+  /// Workers value and any acceleration-layer mask. A checkpoint *write*
+  /// failure is recorded in CkptStats and the search continues
+  /// unchanged: durability is best-effort, results are not.
   std::string CheckpointPath;
   /// Minimum milliseconds between periodic checkpoints; 0 writes one at
   /// every round boundary. The terminal flush (found / iterations
@@ -167,36 +170,38 @@ struct SearchResult {
   /// seen up to then), appended whenever the best improves. The last entry
   /// is (finding iteration, 0) when Found.
   std::vector<std::pair<int, int64_t>> BestTrajectory;
-  /// Candidates whose evaluation the guard rails ended (per-candidate
+  /// Candidates whose evaluation the guard rails ended (a simulation's
   /// budget or cancellation) before a verdict existed. Each is logged with
   /// its reason; none aborts the batch.
   int CandidatesSkipped = 0;
   /// The search stopped because SearchProblem::Cancel fired.
   bool Cancelled = false;
-  /// Verdict-cache statistics (all zero when UseVerdictCache is off).
-  /// Hits + Misses == cache lookups (one per valid, non-duplicate
-  /// candidate); SymmetryFolds counts the hits that only exist because of
-  /// core-relabeling canonicalization and DuplicateCandidates the
-  /// intra-batch fingerprint collisions resolved without a lookup.
+  /// Verdict-cache statistics per candidate (all zero when
+  /// UseVerdictCache is off). DuplicateCandidates counts the candidates
+  /// whose component keys were all planned by earlier candidates of the
+  /// same round — decided before any lookup, so independent of the cache
+  /// contents. Of the others, CacheHits counts those whose every
+  /// component hit and CacheMisses the rest. SymmetryFolds counts the
+  /// component hits whose stored raw fingerprint differs: hits that only
+  /// exist because of core-relabeling canonicalization.
   int CacheHits = 0;
   int CacheMisses = 0;
   int SymmetryFolds = 0;
   int DuplicateCandidates = 0;
   /// Compositional-evaluation statistics (zero when UseDecomposition is
-  /// off): candidates that split, and component NSA instances *actually
-  /// simulated* for them — with UseComponentCache on, component-cache
-  /// hits and intra-round duplicate components are excluded, so the
-  /// count can be far below DecomposedCandidates times the component
-  /// count.
+  /// off): valid candidates that split, and component NSA instances
+  /// *actually simulated* for them — cache hits and intra-round
+  /// duplicate components are excluded, so the count can be far below
+  /// DecomposedCandidates times the component count.
   int DecomposedCandidates = 0;
   int ComponentsSimulated = 0;
-  /// Component-cache statistics (zero unless UseComponentCache and
-  /// UseDecomposition are both on). Hits + Misses is the total component
-  /// count over decomposed candidates; Misses >= ComponentsSimulated
-  /// because intra-round duplicates are simulated once.
+  /// Component lookups of the non-duplicate candidates (a candidate that
+  /// does not split is one component); zero when UseVerdictCache is off.
+  /// Misses >= ComponentsSimulated + SimulationsRun because intra-round
+  /// duplicate components are simulated once.
   int ComponentCacheHits = 0;
   int ComponentCacheMisses = 0;
-  /// Monolithic simulations actually run (cache misses that did not
+  /// Whole-config simulations actually run (candidates that did not
   /// decompose). SimulationsRun + ComponentsSimulated is the number of
   /// Simulator::run calls the search made.
   int SimulationsRun = 0;

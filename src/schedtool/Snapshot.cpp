@@ -32,8 +32,7 @@ constexpr uint32_t kHeaderSize = 16; // magic + version + endian marker.
 
 enum RecordType : uint32_t {
   kSearchState = 1,
-  kConfigEntry = 2,
-  kComponentEntry = 3,
+  kCacheEntry = 2,
   kEnd = 0xFFFFFFFFu,
 };
 
@@ -406,31 +405,22 @@ Error truncated(const std::string &What) {
 } // namespace
 
 void Snapshot::captureCache(const VerdictCache &Cache) {
-  ConfigEntries.clear();
-  ComponentEntries.clear();
-  Cache.forEachConfig(
-      [&](const cfg::Fingerprint &Key, const VerdictCache::Entry &E) {
-        ConfigEntries.push_back({Key, E.Raw, E.Verdict});
-      });
-  Cache.forEachComponent([&](const cfg::Fingerprint &Key,
-                             const VerdictCache::ComponentEntry &E) {
-    ComponentEntries.push_back({Key, E.Raw, E.Verdict});
+  Entries.clear();
+  Cache.forEach([&](const cfg::Fingerprint &Key, const VerdictCache::Entry &E) {
+    Entries.push_back({Key, E.Raw, E.Verdict});
   });
-  auto ByKey = [](const CacheRecord &A, const CacheRecord &B) {
-    return A.Canon.Hi != B.Canon.Hi ? A.Canon.Hi < B.Canon.Hi
-                                    : A.Canon.Lo < B.Canon.Lo;
-  };
-  std::sort(ConfigEntries.begin(), ConfigEntries.end(), ByKey);
-  std::sort(ComponentEntries.begin(), ComponentEntries.end(), ByKey);
+  std::sort(Entries.begin(), Entries.end(),
+            [](const CacheRecord &A, const CacheRecord &B) {
+              return A.Canon.Hi != B.Canon.Hi ? A.Canon.Hi < B.Canon.Hi
+                                              : A.Canon.Lo < B.Canon.Lo;
+            });
 }
 
-std::pair<uint64_t, uint64_t> Snapshot::seedCache(VerdictCache &Cache) const {
-  size_t Cfg0 = Cache.size(), Comp0 = Cache.componentSize();
-  for (const CacheRecord &R : ConfigEntries)
+uint64_t Snapshot::seedCache(VerdictCache &Cache) const {
+  size_t Size0 = Cache.size();
+  for (const CacheRecord &R : Entries)
     Cache.insertSnapshot(R.Canon, R.Raw, R.Verdict);
-  for (const CacheRecord &R : ComponentEntries)
-    Cache.insertComponentSnapshot(R.Canon, R.Raw, R.Verdict);
-  return {Cache.size() - Cfg0, Cache.componentSize() - Comp0};
+  return Cache.size() - Size0;
 }
 
 uint32_t schedtool::snapshotBaseCrc(const cfg::Config &Base) {
@@ -474,16 +464,10 @@ Error schedtool::saveSnapshot(const Snapshot &S, const std::string &Path,
     if (Error E = Record(kSearchState, P.bytes()))
       return E.withContext("snapshot " + Path);
   }
-  for (const Snapshot::CacheRecord &R : S.ConfigEntries) {
+  for (const Snapshot::CacheRecord &R : S.Entries) {
     Enc P;
     encodeCacheRecord(P, R);
-    if (Error E = Record(kConfigEntry, P.bytes()))
-      return E.withContext("snapshot " + Path);
-  }
-  for (const Snapshot::CacheRecord &R : S.ComponentEntries) {
-    Enc P;
-    encodeCacheRecord(P, R);
-    if (Error E = Record(kComponentEntry, P.bytes()))
+    if (Error E = Record(kCacheEntry, P.bytes()))
       return E.withContext("snapshot " + Path);
   }
 
@@ -582,18 +566,11 @@ Result<Snapshot> schedtool::loadSnapshot(const std::string &Path,
       SeenSearchState = true;
       break;
     }
-    case kConfigEntry: {
+    case kCacheEntry: {
       Snapshot::CacheRecord R;
       if (!decodeCacheRecord(D, R))
-        return corrupt("malformed config-entry record: " + Path);
-      S.ConfigEntries.push_back(std::move(R));
-      break;
-    }
-    case kComponentEntry: {
-      Snapshot::CacheRecord R;
-      if (!decodeCacheRecord(D, R))
-        return corrupt("malformed component-entry record: " + Path);
-      S.ComponentEntries.push_back(std::move(R));
+        return corrupt("malformed cache-entry record: " + Path);
+      S.Entries.push_back(std::move(R));
       break;
     }
     default:
@@ -617,8 +594,7 @@ void schedtool::fillSnapshotReport(obs::RunReport &Report,
   Report.addCount("snapshot.loaded", Stats.SnapshotsLoaded);
   Report.addCount("snapshot.bytes_written", Stats.BytesWritten);
   Report.addCount("snapshot.bytes_loaded", Stats.BytesLoaded);
-  Report.addCount("snapshot.entries_merged",
-                  Stats.ConfigEntriesMerged + Stats.ComponentEntriesMerged);
+  Report.addCount("snapshot.entries_merged", Stats.EntriesMerged);
   Report.addCount("snapshot.write_failures", Stats.WriteFailures);
   Report.addCount("verdict_cache.snapshot_hits", Stats.SnapshotHits);
 }

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The durable-search snapshot: a versioned, checksummed, length-prefixed
-/// binary serialization of a schedtool::VerdictCache (config- and
-/// component-level entries under their canonical fingerprints) plus the
+/// binary serialization of a schedtool::VerdictCache (its entries under
+/// their canonical fingerprints) plus the
 /// in-progress state of a ConfigSearch (round index, RNG stream state,
 /// adaptive Current/Boost, the partial SearchResult). Written through
 /// support::AtomicFile, so a crash at any byte leaves either the old
@@ -20,7 +20,7 @@
 ///   end      type=End record whose payload is the u32 CRC32 of every
 ///            byte before the end record's own header
 ///
-/// Record types: SearchState (at most one), ConfigEntry, ComponentEntry.
+/// Record types: SearchState (at most one), CacheEntry.
 /// Entries are sorted by fingerprint before writing, so snapshot bytes
 /// are a pure function of the cache *contents* — two runs that earned
 /// the same verdicts write identical files regardless of hash-map
@@ -64,9 +64,8 @@ struct SnapshotStats {
   uint64_t SnapshotsLoaded = 0;
   uint64_t BytesWritten = 0;
   uint64_t BytesLoaded = 0;
-  /// Entries adopted from a resumed snapshot (config + component).
-  uint64_t ConfigEntriesMerged = 0;
-  uint64_t ComponentEntriesMerged = 0;
+  /// Entries adopted from a resumed snapshot.
+  uint64_t EntriesMerged = 0;
   /// Cache hits served by warm-from-disk entries during the search.
   uint64_t SnapshotHits = 0;
   /// Checkpoint writes that failed (search continues; last message
@@ -80,19 +79,20 @@ struct Snapshot {
   /// Version 2: the search-state payload gained the strategy name +
   /// opaque strategy state (stateful metaheuristics resume
   /// mid-stream). Version 3: the saved SearchResult lost the two
-  /// dirty-tracking component counts. Older files are rejected with a
+  /// dirty-tracking component counts. Version 4: the separate config-
+  /// and component-entry record types became one entry type, as the
+  /// verdict cache became one level. Older files are rejected with a
   /// typed skew error and degrade to a cold start, per the reader
   /// contract above.
-  static constexpr uint32_t FormatVersion = 3;
+  static constexpr uint32_t FormatVersion = 4;
 
-  /// One serialized verdict-cache entry (either level).
+  /// One serialized verdict-cache entry.
   struct CacheRecord {
     cfg::Fingerprint Canon; ///< Cache key (canonical fingerprint).
     cfg::Fingerprint Raw;   ///< Raw fingerprint (symmetry-fold detection).
     analysis::VerdictOutcome Verdict;
   };
-  std::vector<CacheRecord> ConfigEntries;
-  std::vector<CacheRecord> ComponentEntries;
+  std::vector<CacheRecord> Entries;
 
   /// Search-in-progress state. Absent (false) when the snapshot is a
   /// pure cache export that only pre-warms a verdict cache.
@@ -122,14 +122,14 @@ struct Snapshot {
   std::string StrategyName;
   std::string StrategyState;
 
-  /// Populates ConfigEntries/ComponentEntries from \p Cache (sorted by
-  /// canonical fingerprint; deterministic bytes).
+  /// Populates Entries from \p Cache (sorted by canonical fingerprint;
+  /// deterministic bytes).
   void captureCache(const VerdictCache &Cache);
 
   /// Inserts every entry into \p Cache, marked warm-from-disk. Existing
   /// entries win (write-once cache). Returns the number of entries
-  /// actually adopted as (config, component).
-  std::pair<uint64_t, uint64_t> seedCache(VerdictCache &Cache) const;
+  /// actually adopted.
+  uint64_t seedCache(VerdictCache &Cache) const;
 };
 
 /// CRC32 of the canonical little-endian encoding of \p Base — the

@@ -337,38 +337,111 @@ void expectSameObservable(const SearchResult &A, const SearchResult &B) {
   }
 }
 
-SearchProblem layeredProblem(cfg::Config Base, uint64_t Seed, int Iters,
-                             bool Cache, bool Early, bool Decompose) {
+/// expectSameResult plus every statistics field: what "byte-identical
+/// SearchResult" means across worker counts.
+void expectSameFullResult(const SearchResult &A, const SearchResult &B) {
+  expectSameResult(A, B);
+  EXPECT_EQ(A.CandidatesSkipped, B.CandidatesSkipped);
+  EXPECT_EQ(A.Cancelled, B.Cancelled);
+  EXPECT_EQ(A.CacheHits, B.CacheHits);
+  EXPECT_EQ(A.CacheMisses, B.CacheMisses);
+  EXPECT_EQ(A.SymmetryFolds, B.SymmetryFolds);
+  EXPECT_EQ(A.DuplicateCandidates, B.DuplicateCandidates);
+  EXPECT_EQ(A.DecomposedCandidates, B.DecomposedCandidates);
+  EXPECT_EQ(A.ComponentsSimulated, B.ComponentsSimulated);
+  EXPECT_EQ(A.ComponentCacheHits, B.ComponentCacheHits);
+  EXPECT_EQ(A.ComponentCacheMisses, B.ComponentCacheMisses);
+  EXPECT_EQ(A.SimulationsRun, B.SimulationsRun);
+  EXPECT_EQ(A.StopReasonCounts, B.StopReasonCounts);
+}
+
+/// The four acting layers as mask bits.
+constexpr int kCache = 1, kEarlyExit = 2, kDecompose = 4, kReuse = 8;
+
+SearchProblem maskedProblem(const cfg::Config &Base, uint64_t Seed, int Iters,
+                            int Mask, int Workers) {
   SearchProblem Problem;
-  Problem.Base = std::move(Base);
+  Problem.Base = Base;
   Problem.Seed = Seed;
   Problem.MaxIterations = Iters;
-  Problem.UseVerdictCache = Cache;
-  Problem.UseEarlyExit = Early;
-  Problem.UseDecomposition = Decompose;
+  Problem.Workers = Workers;
+  Problem.UseVerdictCache = (Mask & kCache) != 0;
+  Problem.UseEarlyExit = (Mask & kEarlyExit) != 0;
+  Problem.UseDecomposition = (Mask & kDecompose) != 0;
+  Problem.UseInstanceReuse = (Mask & kReuse) != 0;
   return Problem;
 }
 
 } // namespace
 
-TEST(Search, AccelerationLayersAreObservationallyTransparent) {
-  // Every combination of the three layers must reproduce the plain
-  // search's verdict stream, trajectory, counters and chosen
-  // configuration — on a workload that decomposes and at a utilization
-  // where candidates fail (so the early exit actually fires).
-  for (double Util : {0.45, 0.8}) {
-    auto Plain = searchConfiguration(layeredProblem(
-        decoupledProblem(Util, 21), 17, 12, false, false, false));
+TEST(Search, EveryLayerMaskMatchesPlainReference) {
+  // Every combination of the four layers (cache, early exit,
+  // decomposition, instance reuse), on 1, 2 and 4 workers, must
+  // reproduce the all-off single-worker search's verdict stream,
+  // trajectory and chosen configuration. The bases: a decoupled workload
+  // where every candidate splits, at a utilization where the first
+  // candidate is schedulable and at one where the search iterates
+  // through early misses, cache hits and an intra-batch duplicate; plus
+  // one with inter-core messages, where most candidates stay whole, so
+  // the whole-config component runs with decomposition on next to split
+  // ones. Within one mask the full SearchResult is byte-identical across
+  // worker counts, instance reuse alone never changes a single byte, and
+  // the cache alone never changes the split or stop-reason counts.
+  struct Case {
+    const char *Name;
+    cfg::Config Base;
+    uint64_t Seed;
+  };
+  const Case Cases[] = {{"decoupled 0.45", decoupledProblem(0.45, 21), 17},
+                        {"decoupled 0.8", decoupledProblem(0.8, 27), 37},
+                        {"messages 0.8", unboundProblem(0.8, 27), 37}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    auto Plain = searchConfiguration(maskedProblem(C.Base, C.Seed, 12, 0, 1));
     ASSERT_TRUE(Plain.ok()) << Plain.error().message();
-
-    for (int Mask = 1; Mask < 8; ++Mask) {
-      auto Fast = searchConfiguration(layeredProblem(
-          decoupledProblem(Util, 21), 17, 12, (Mask & 1) != 0,
-          (Mask & 2) != 0, (Mask & 4) != 0));
-      ASSERT_TRUE(Fast.ok()) << Fast.error().message();
-      expectSameObservable(*Plain, *Fast);
+    std::vector<SearchResult> PerMask;
+    for (int Mask = 0; Mask < 16; ++Mask) {
+      SCOPED_TRACE("mask " + std::to_string(Mask));
+      auto Serial =
+          searchConfiguration(maskedProblem(C.Base, C.Seed, 12, Mask, 1));
+      ASSERT_TRUE(Serial.ok()) << Serial.error().message();
+      expectSameObservable(*Plain, *Serial);
+      for (int Workers : {2, 4}) {
+        auto Parallel = searchConfiguration(
+            maskedProblem(C.Base, C.Seed, 12, Mask, Workers));
+        ASSERT_TRUE(Parallel.ok()) << Parallel.error().message();
+        expectSameFullResult(*Serial, *Parallel);
+      }
+      PerMask.push_back(std::move(*Serial));
+    }
+    for (int Mask = 0; Mask < kReuse; ++Mask)
+      expectSameFullResult(PerMask[static_cast<size_t>(Mask)],
+                           PerMask[static_cast<size_t>(Mask | kReuse)]);
+    // The cache changes how verdicts are obtained, never which
+    // candidates split or how their runs stop: a hit replays the stop
+    // reason of the simulation that filled it.
+    for (int Mask = 0; Mask < 16; Mask += 2) {
+      SCOPED_TRACE("cache twins of mask " + std::to_string(Mask));
+      const SearchResult &Off = PerMask[static_cast<size_t>(Mask)];
+      const SearchResult &On = PerMask[static_cast<size_t>(Mask | kCache)];
+      EXPECT_EQ(Off.DecomposedCandidates, On.DecomposedCandidates);
+      EXPECT_EQ(Off.StopReasonCounts, On.StopReasonCounts);
     }
   }
+  // The bases exercise what they are chosen for, with every layer on:
+  // the decoupled search iterates, splits and reuses verdicts; the
+  // message base mixes whole-config and split candidates.
+  auto Split = searchConfiguration(
+      maskedProblem(Cases[1].Base, Cases[1].Seed, 12, 15, 1));
+  ASSERT_TRUE(Split.ok()) << Split.error().message();
+  EXPECT_GT(Split->ConfigurationsEvaluated, 4);
+  EXPECT_GT(Split->DecomposedCandidates, 0);
+  EXPECT_GT(Split->CacheHits + Split->DuplicateCandidates, 0);
+  auto Mixed = searchConfiguration(
+      maskedProblem(Cases[2].Base, Cases[2].Seed, 12, 15, 1));
+  ASSERT_TRUE(Mixed.ok()) << Mixed.error().message();
+  EXPECT_GT(Mixed->SimulationsRun, 0);
+  EXPECT_GT(Mixed->DecomposedCandidates, 0);
 }
 
 TEST(Search, AcceleratedResultIndependentOfWorkerCount) {
@@ -456,11 +529,13 @@ TEST(Search, DecompositionEngagesOnDecoupledWorkloads) {
   ASSERT_TRUE(Res.ok()) << Res.error().message();
   EXPECT_GT(Res->DecomposedCandidates, 0);
   // A decomposed candidate has at least two components, each resolved
-  // against the component cache. (ComponentsSimulated can fall below
-  // two-per-candidate: hits and intra-round duplicates are not re-run.)
+  // against the cache unless the candidate is an intra-batch duplicate.
+  // (ComponentsSimulated can fall below two-per-candidate: hits and
+  // intra-round duplicate components are not re-run.)
   EXPECT_GE(Res->ComponentCacheHits + Res->ComponentCacheMisses,
-            2 * Res->DecomposedCandidates);
-  EXPECT_GE(Res->ComponentCacheMisses, Res->ComponentsSimulated);
+            2 * (Res->DecomposedCandidates - Res->DuplicateCandidates));
+  EXPECT_GE(Res->ComponentCacheMisses,
+            Res->ComponentsSimulated + Res->SimulationsRun);
   // The per-round statistics lines appear once a round completes (a
   // search that succeeds mid-round returns before logging them).
   if (!Res->Found) {
@@ -473,75 +548,9 @@ TEST(Search, DecompositionEngagesOnDecoupledWorkloads) {
   }
 }
 
-namespace {
-
-SearchProblem incrementalProblem(cfg::Config Base, uint64_t Seed, int Iters,
-                                 bool CompCache, bool Reuse) {
-  SearchProblem Problem;
-  Problem.Base = std::move(Base);
-  Problem.Seed = Seed;
-  Problem.MaxIterations = Iters;
-  Problem.UseComponentCache = CompCache;
-  Problem.UseInstanceReuse = Reuse;
-  return Problem;
-}
-
-} // namespace
-
-TEST(Search, IncrementalLayersAreObservationallyTransparent) {
-  // Every combination of the two incremental layers (component cache,
-  // instance reuse) must reproduce the all-off verdict stream,
-  // trajectory and chosen configuration, for every worker count
-  // — on a workload that decomposes, at a utilization where candidates
-  // fail and the adaptive loop actually iterates. Within one mask the
-  // full SearchResult must be byte-identical across worker counts.
-  std::vector<SearchResult> PerMask;
-  for (int Mask = 0; Mask < 4; ++Mask) {
-    SearchProblem Problem = incrementalProblem(
-        decoupledProblem(0.8, 26), 23, 10, (Mask & 1) != 0, (Mask & 2) != 0);
-    Problem.Workers = 1;
-    auto Serial = searchConfiguration(Problem);
-    ASSERT_TRUE(Serial.ok()) << Serial.error().message();
-    for (int Workers : {2, 4}) {
-      Problem.Workers = Workers;
-      auto Parallel = searchConfiguration(Problem);
-      ASSERT_TRUE(Parallel.ok()) << Parallel.error().message();
-      expectSameResult(*Serial, *Parallel);
-      EXPECT_EQ(Serial->ComponentCacheHits, Parallel->ComponentCacheHits);
-      EXPECT_EQ(Serial->ComponentCacheMisses,
-                Parallel->ComponentCacheMisses);
-      EXPECT_EQ(Serial->ComponentsSimulated, Parallel->ComponentsSimulated);
-      EXPECT_EQ(Serial->SimulationsRun, Parallel->SimulationsRun);
-    }
-    PerMask.push_back(std::move(*Serial));
-  }
-  for (int Mask = 1; Mask < 4; ++Mask) {
-    expectSameObservable(PerMask[0], PerMask[static_cast<size_t>(Mask)]);
-    // The layers rearrange *how* verdicts are obtained, never which
-    // candidates decompose or what the whole-config cache sees.
-    EXPECT_EQ(PerMask[0].CacheHits, PerMask[static_cast<size_t>(Mask)].CacheHits);
-    EXPECT_EQ(PerMask[0].CacheMisses,
-              PerMask[static_cast<size_t>(Mask)].CacheMisses);
-    EXPECT_EQ(PerMask[0].DecomposedCandidates,
-              PerMask[static_cast<size_t>(Mask)].DecomposedCandidates);
-    EXPECT_EQ(PerMask[0].SimulationsRun,
-              PerMask[static_cast<size_t>(Mask)].SimulationsRun);
-    EXPECT_EQ(PerMask[0].StopReasonCounts,
-              PerMask[static_cast<size_t>(Mask)].StopReasonCounts);
-  }
-  // Instance reuse alone never changes a single byte: compare each mask
-  // with its reuse-flipped twin, full Log included.
-  for (int Mask = 0; Mask < 2; ++Mask) {
-    expectSameResult(PerMask[static_cast<size_t>(Mask)],
-                     PerMask[static_cast<size_t>(Mask | 2)]);
-    EXPECT_EQ(PerMask[static_cast<size_t>(Mask)].ComponentsSimulated,
-              PerMask[static_cast<size_t>(Mask | 2)].ComponentsSimulated);
-  }
-}
-
 TEST(Search, ComponentCacheEngages) {
-  // On a decoupled workload with the default flags the component cache
-  // must produce cross-round hits (the adaptive state mutates a few
+  // On a decoupled workload with the default flags the cache must
+  // produce cross-round component hits (the adaptive state mutates a few
   // components per step, the rest repeat), and the statistics must be
   // coherent.
   SearchProblem Problem;
@@ -553,14 +562,15 @@ TEST(Search, ComponentCacheEngages) {
   ASSERT_GT(Res->DecomposedCandidates, 0);
   EXPECT_GT(Res->ComponentCacheHits, 0);
   EXPECT_GT(Res->ComponentCacheMisses, 0);
-  EXPECT_GE(Res->ComponentCacheMisses, Res->ComponentsSimulated);
+  EXPECT_GE(Res->ComponentCacheMisses,
+            Res->ComponentsSimulated + Res->SimulationsRun);
   if (!Res->Found) {
     bool CacheLine = false;
     for (const std::string &Line : Res->Log)
       if (Line.rfind("round ", 0) == 0 &&
-          Line.find("component cache") != std::string::npos)
+          Line.find("; components ") != std::string::npos)
         CacheLine = true;
-    EXPECT_TRUE(CacheLine) << "no component-cache statistics in the log";
+    EXPECT_TRUE(CacheLine) << "no component statistics in the log";
   }
 }
 

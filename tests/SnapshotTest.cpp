@@ -86,8 +86,8 @@ analysis::VerdictOutcome okVerdict() {
   return V;
 }
 
-/// A snapshot with every feature populated: search state, both entry
-/// levels, logs, trajectory, stop-reason tallies.
+/// A snapshot with every feature populated: search state, cache entries,
+/// logs, trajectory, stop-reason tallies.
 Snapshot sampleSnapshot() {
   Snapshot S;
   S.HasSearchState = true;
@@ -114,9 +114,9 @@ Snapshot sampleSnapshot() {
                "1 tasks)",
                "round 0: cache 0 hits / 4 misses / 0 folds / 0 dups "
                "(4 entries)"};
-  S.ConfigEntries.push_back({{1, 2}, {1, 3}, missVerdict(10, 0)});
-  S.ConfigEntries.push_back({{5, 6}, {5, 6}, okVerdict()});
-  S.ComponentEntries.push_back({{7, 8}, {7, 9}, missVerdict(20, 1)});
+  S.Entries.push_back({{1, 2}, {1, 3}, missVerdict(10, 0)});
+  S.Entries.push_back({{5, 6}, {5, 6}, okVerdict()});
+  S.Entries.push_back({{7, 8}, {7, 9}, missVerdict(20, 1)});
   return S;
 }
 
@@ -189,18 +189,11 @@ void expectSameSnapshot(const Snapshot &A, const Snapshot &B) {
   EXPECT_EQ(A.Res.StopReasonCounts, B.Res.StopReasonCounts);
   EXPECT_EQ(A.Res.Log, B.Res.Log);
   expectSameConfig(A.Res.Best, B.Res.Best);
-  ASSERT_EQ(A.ConfigEntries.size(), B.ConfigEntries.size());
-  for (size_t I = 0; I < A.ConfigEntries.size(); ++I) {
-    EXPECT_EQ(A.ConfigEntries[I].Canon, B.ConfigEntries[I].Canon);
-    EXPECT_EQ(A.ConfigEntries[I].Raw, B.ConfigEntries[I].Raw);
-    expectSameVerdict(A.ConfigEntries[I].Verdict, B.ConfigEntries[I].Verdict);
-  }
-  ASSERT_EQ(A.ComponentEntries.size(), B.ComponentEntries.size());
-  for (size_t I = 0; I < A.ComponentEntries.size(); ++I) {
-    EXPECT_EQ(A.ComponentEntries[I].Canon, B.ComponentEntries[I].Canon);
-    EXPECT_EQ(A.ComponentEntries[I].Raw, B.ComponentEntries[I].Raw);
-    expectSameVerdict(A.ComponentEntries[I].Verdict,
-                      B.ComponentEntries[I].Verdict);
+  ASSERT_EQ(A.Entries.size(), B.Entries.size());
+  for (size_t I = 0; I < A.Entries.size(); ++I) {
+    EXPECT_EQ(A.Entries[I].Canon, B.Entries[I].Canon);
+    EXPECT_EQ(A.Entries[I].Raw, B.Entries[I].Raw);
+    expectSameVerdict(A.Entries[I].Verdict, B.Entries[I].Verdict);
   }
 }
 
@@ -381,14 +374,13 @@ TEST(Snapshot, RoundTripsEveryFieldAndIsByteStable) {
 
 TEST(Snapshot, CacheOnlySnapshotRoundTrips) {
   Snapshot S;
-  S.ConfigEntries.push_back({{1, 2}, {1, 2}, okVerdict()});
+  S.Entries.push_back({{1, 2}, {1, 2}, okVerdict()});
   std::string Path = testPath("cacheonly.bin");
   ASSERT_FALSE(saveSnapshot(S, Path).isFailure());
   Result<Snapshot> L = loadSnapshot(Path);
   ASSERT_TRUE(L.ok()) << L.error().message();
   EXPECT_FALSE(L->HasSearchState);
-  EXPECT_EQ(L->ConfigEntries.size(), 1u);
-  EXPECT_TRUE(L->ComponentEntries.empty());
+  EXPECT_EQ(L->Entries.size(), 1u);
   std::remove(Path.c_str());
 }
 
@@ -400,8 +392,8 @@ TEST(Snapshot, BytesAreAPureFunctionOfCacheContents) {
   VerdictCache A, B;
   A.insert({1, 1}, {1, 1}, V1);
   A.insert({2, 2}, {2, 9}, V2);
-  A.insertComponent({3, 3}, {3, 3}, V3);
-  B.insertComponent({3, 3}, {3, 3}, V3);
+  A.insert({3, 3}, {3, 3}, V3);
+  B.insert({3, 3}, {3, 3}, V3);
   B.insert({2, 2}, {2, 9}, V2);
   B.insert({1, 1}, {1, 1}, V1);
 
@@ -418,24 +410,22 @@ TEST(Snapshot, BytesAreAPureFunctionOfCacheContents) {
 
 TEST(Snapshot, SeedCacheMarksProvenanceAndNeverOverwrites) {
   Snapshot S;
-  S.ConfigEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
-  S.ConfigEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
-  S.ComponentEntries.push_back({{3, 3}, {3, 3}, missVerdict(20, 1)});
+  S.Entries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
+  S.Entries.push_back({{2, 2}, {2, 2}, okVerdict()});
+  S.Entries.push_back({{3, 3}, {3, 3}, missVerdict(20, 1)});
 
   VerdictCache Cache;
   // Pre-existing same-run entry under key {1,1}: the snapshot must not
   // replace it or flip its provenance.
   Cache.insert({1, 1}, {1, 1}, missVerdict(10, 0));
-  auto [NCfg, NComp] = S.seedCache(Cache);
-  EXPECT_EQ(NCfg, 1u);
-  EXPECT_EQ(NComp, 1u);
+  EXPECT_EQ(S.seedCache(Cache), 2u);
   const VerdictCache::Entry *E1 = Cache.lookup({1, 1});
   ASSERT_NE(E1, nullptr);
   EXPECT_FALSE(E1->FromSnapshot);
   const VerdictCache::Entry *E2 = Cache.lookup({2, 2});
   ASSERT_NE(E2, nullptr);
   EXPECT_TRUE(E2->FromSnapshot);
-  const VerdictCache::ComponentEntry *C3 = Cache.lookupComponent({3, 3});
+  const VerdictCache::Entry *C3 = Cache.lookup({3, 3});
   ASSERT_NE(C3, nullptr);
   EXPECT_TRUE(C3->FromSnapshot);
 }
@@ -529,10 +519,11 @@ TEST(SnapshotCorpus, VersionSkewIsTyped) {
   ASSERT_FALSE(saveSnapshot(sampleSnapshot(), Path).isFailure());
   std::string Full = readAll(Path);
   // The u32 version lives at offset 8 (after the magic), little-endian.
-  // A newer writer and the previous format (version 2, whose saved
-  // SearchResult still carried the dirty-tracking counts) are both skew.
+  // A newer writer and the previous formats are all skew: version 2,
+  // whose saved SearchResult still carried the dirty-tracking counts,
+  // and version 3, whose cache entries came as two record types.
   std::string P = testPath("skew.bin");
-  for (uint32_t V : {Snapshot::FormatVersion + 1, 2u}) {
+  for (uint32_t V : {Snapshot::FormatVersion + 1, 2u, 3u}) {
     ASSERT_NE(V, Snapshot::FormatVersion);
     Full[8] = static_cast<char>(V);
     writeAll(P, Full);
