@@ -15,6 +15,13 @@
 using namespace swa;
 using namespace swa::analysis;
 
+AnalyzeOutcome::~AnalyzeOutcome() {
+  if (!Model.Net)
+    return; // Moved from.
+  obs::ScopedTimer Timer("teardown");
+  Model.Net.reset();
+}
+
 bool AnalyzeOutcome::failureFlagsConsistent() const {
   if (Model.IsFailedSlot < 0)
     return true;
@@ -39,8 +46,7 @@ swa::analysis::analyzeConfiguration(const cfg::Config &Config,
   AnalyzeOutcome Out;
   Out.Model = std::move(*Model);
 
-  nsa::Simulator Sim(*Out.Model.Net);
-  Out.Sim = Sim.run(SimOptions);
+  Out.Sim = nsa::Simulator::create(*Out.Model.Net)->run(SimOptions);
   if (!Out.Sim.ok())
     return Error::failure("simulation failed: " + Out.Sim.Error);
 
@@ -185,12 +191,12 @@ swa::analysis::analyzeVerdictOnly(const cfg::Config &Config,
                          Arena->sharedBytecode());
     if (!Fresh.ok())
       return Fresh.takeError();
-    nsa::Simulator Sim(*Fresh->Net);
-    return runVerdictOn(*Fresh, Sim, Config, SimOptions);
+    return runVerdictOn(*Fresh, *nsa::Simulator::create(*Fresh->Net), Config,
+                        SimOptions);
   }
 
-  nsa::Simulator Sim(*Model->Net);
-  return runVerdictOn(*Model, Sim, Config, SimOptions);
+  return runVerdictOn(*Model, *nsa::Simulator::create(*Model->Net), Config,
+                      SimOptions);
 }
 
 VerdictOutcome swa::analysis::mergeComponentVerdicts(

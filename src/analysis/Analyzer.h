@@ -23,6 +23,12 @@ namespace swa {
 namespace analysis {
 
 struct AnalyzeOutcome {
+  AnalyzeOutcome() = default;
+  AnalyzeOutcome(AnalyzeOutcome &&) = default;
+  AnalyzeOutcome &operator=(AnalyzeOutcome &&) = default;
+  /// Frees the model under the "teardown" phase.
+  ~AnalyzeOutcome();
+
   core::BuiltModel Model;
   nsa::SimResult Sim;
   core::SystemTrace Trace;

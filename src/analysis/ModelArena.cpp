@@ -33,7 +33,7 @@ ModelArena::Slot *ModelArena::emplace(const cfg::Fingerprint &Shape,
       S.Sim.reset(); // references the old network — drop before the model
       S.Model = std::move(Model);
       S.Rebinder = std::move(RB);
-      S.Sim = std::make_unique<nsa::Simulator>(*S.Model.Net);
+      S.Sim = nsa::Simulator::create(*S.Model.Net);
       S.LastUse = ++Tick;
       return &S;
     }
@@ -51,7 +51,7 @@ ModelArena::Slot *ModelArena::emplace(const cfg::Fingerprint &Shape,
   S.Rebinder = std::move(RB);
   // The simulator references the network, so it is created only after
   // the model has reached its final location inside the slot.
-  S.Sim = std::make_unique<nsa::Simulator>(*S.Model.Net);
+  S.Sim = nsa::Simulator::create(*S.Model.Net);
   S.LastUse = ++Tick;
   return &S;
 }

@@ -237,6 +237,8 @@ Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
     Reg.counter("core.automata.instantiated")
         .add(static_cast<uint64_t>(Out.Net->Automata.size()));
     Reg.counter("core.read_set.entries").add(NB.readSetEntries());
+    Reg.counter("core.bound_nodes").add(Out.Net->Bind.Pool->nodes());
+    Reg.counter("core.node_pool_bytes").add(Out.Net->Bind.Pool->bytes());
   }
 
   Out.ReadyBase = Out.Net->channelId("ready");

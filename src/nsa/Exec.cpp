@@ -68,41 +68,36 @@ Exec::Exec(const sa::Network &Net) : Net(Net) {
     for (int C : Net.Automata[A]->Clocks)
       ClockOwner[static_cast<size_t>(C)] = static_cast<int32_t>(A);
 
-  Folded.resize(Net.Automata.size());
-  for (size_t A = 0; A < Net.Automata.size(); ++A) {
-    const sa::Automaton &Aut = *Net.Automata[A];
-    FoldedAut &F = Folded[A];
-    F.UpperBounds.resize(Aut.Locations.size());
-    F.LocHasRates.resize(Aut.Locations.size(), 0);
-    F.LocRates.resize(Aut.Locations.size());
-    for (size_t L = 0; L < Aut.Locations.size(); ++L) {
-      const sa::Location &Loc = Aut.Locations[L];
-      F.LocHasRates[L] = Loc.Rates.empty() ? 0 : 1;
-      F.LocRates[L].reserve(Loc.Rates.size());
-      for (const sa::RateCond &R : Loc.Rates) {
-        FoldedAut::FoldedRate FR{R.Clock, DynamicBound, &R};
-        foldConstExpr(*R.Rate, FR.Value);
-        F.LocRates[L].push_back(FR);
-      }
-      F.UpperBounds[L].resize(Loc.Uppers.size(), DynamicBound);
-      for (size_t I = 0; I < Loc.Uppers.size(); ++I)
-        foldConstExpr(*Loc.Uppers[I].Bound, F.UpperBounds[L][I]);
+  UpperOff.push_back(0);
+  RateOff.push_back(0);
+  GuardOff.push_back(0);
+  auto Fold = [](const usl::Expr &E) {
+    int64_t V = DynamicBound;
+    foldConstExpr(E, V);
+    return V;
+  };
+  for (const std::unique_ptr<sa::Automaton> &A : Net.Automata) {
+    LocBase.push_back(static_cast<uint32_t>(UpperOff.size() - 1));
+    EdgeBase.push_back(static_cast<uint32_t>(GuardOff.size() - 1));
+    for (const sa::Location &L : A->Locations) {
+      for (const sa::RateCond &R : L.Rates)
+        Rates.push_back({R.Clock, Fold(*R.Rate), &R});
+      for (const sa::ClockUpper &U : L.Uppers)
+        UpperBounds.push_back(Fold(*U.Bound));
+      RateOff.push_back(static_cast<uint32_t>(Rates.size()));
+      UpperOff.push_back(static_cast<uint32_t>(UpperBounds.size()));
     }
-    F.GuardBounds.resize(Aut.Edges.size());
-    for (size_t E = 0; E < Aut.Edges.size(); ++E) {
-      const sa::Edge &Ed = Aut.Edges[E];
-      F.GuardBounds[E].resize(Ed.ClockGuards.size(), DynamicBound);
-      for (size_t I = 0; I < Ed.ClockGuards.size(); ++I)
-        foldConstExpr(*Ed.ClockGuards[I].Bound, F.GuardBounds[E][I]);
+    for (const sa::Edge &E : A->Edges) {
+      for (const sa::ClockGuard &CG : E.ClockGuards)
+        GuardBounds.push_back(Fold(*CG.Bound));
+      GuardOff.push_back(static_cast<uint32_t>(GuardBounds.size()));
     }
   }
 }
 
 int64_t Exec::upperBound(State &S, int Aut, const sa::Location &L,
                          size_t I) {
-  int64_t V = Folded[static_cast<size_t>(Aut)]
-                  .UpperBounds[static_cast<size_t>(
-                      S.Locs[static_cast<size_t>(Aut)])][I];
+  int64_t V = UpperBounds[UpperOff[locOf(S, Aut)] + I];
   if (V != DynamicBound)
     return V;
   const sa::ClockUpper &U = L.Uppers[I];
@@ -110,8 +105,9 @@ int64_t Exec::upperBound(State &S, int Aut, const sa::Location &L,
 }
 
 int64_t Exec::guardBound(State &S, int Aut, int Edge, size_t I) {
-  int64_t V = Folded[static_cast<size_t>(Aut)]
-                  .GuardBounds[static_cast<size_t>(Edge)][I];
+  int64_t V = GuardBounds[GuardOff[EdgeBase[static_cast<size_t>(Aut)] +
+                                    static_cast<size_t>(Edge)] +
+                           I];
   if (V != DynamicBound)
     return V;
   const sa::ClockGuard &CG =
@@ -314,9 +310,9 @@ bool Exec::applyStep(State &S, const Step &St,
 
 int Exec::rateOf(const State &SIn, int Aut, int ClockIdx) {
   State &S = const_cast<State &>(SIn);
-  for (const FoldedAut::FoldedRate &R :
-       Folded[static_cast<size_t>(Aut)].LocRates[static_cast<size_t>(
-           S.Locs[static_cast<size_t>(Aut)])]) {
+  size_t Loc = locOf(S, Aut);
+  for (uint32_t I = RateOff[Loc]; I < RateOff[Loc + 1]; ++I) {
+    const FoldedRate &R = Rates[I];
     if (R.Clock != ClockIdx)
       continue;
     if (R.Value != DynamicBound)
@@ -335,9 +331,8 @@ int64_t Exec::wakeTime(const State &SIn, int Aut) {
   int64_t Best = TimeInfinity;
   // Stopped clocks never reach a bound; the rate check is skipped entirely
   // for the common rate-free locations.
-  bool HasRates =
-      Folded[static_cast<size_t>(Aut)].LocHasRates[static_cast<size_t>(
-          S.Locs[static_cast<size_t>(Aut)])] != 0;
+  size_t Loc = locOf(S, Aut);
+  bool HasRates = RateOff[Loc] != RateOff[Loc + 1];
 
   // Invariant expiry forces an action at the bound.
   for (size_t I = 0; I < L.Uppers.size(); ++I) {
@@ -389,14 +384,14 @@ void Exec::advanceTime(State &S, int64_t Delta) {
     return;
   // Advance everything, then roll back stopped clocks. Only automata
   // whose current location carries rate conditions are examined (the
-  // folded LocHasRates table avoids touching the automaton IR at all for
-  // the rate-free majority).
+  // folded RateOff table avoids touching the automaton IR at all for the
+  // rate-free majority).
   for (int64_t &C : S.Clocks)
     C += Delta;
   for (size_t A = 0; A < Net.Automata.size(); ++A) {
-    const std::vector<FoldedAut::FoldedRate> &Rates =
-        Folded[A].LocRates[static_cast<size_t>(S.Locs[A])];
-    for (const FoldedAut::FoldedRate &R : Rates) {
+    size_t Loc = locOf(S, static_cast<int>(A));
+    for (uint32_t I = RateOff[Loc]; I < RateOff[Loc + 1]; ++I) {
+      const FoldedRate &R = Rates[I];
       int64_t V = R.Value;
       if (V == DynamicBound)
         V = evalSite(S, *R.Cond->Rate, R.Cond->RateCode, {});

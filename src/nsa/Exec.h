@@ -148,26 +148,36 @@ private:
   /// instantiation (periods, window edges); folding them at construction
   /// removes an interpreter/VM dispatch from every guard check and wake
   /// computation on the hot path.
-  struct FoldedAut {
-    /// [Loc][I]: folded Location::Uppers[I] bound, or DynamicBound.
-    std::vector<std::vector<int64_t>> UpperBounds;
-    /// [Edge][I]: folded Edge::ClockGuards[I] bound, or DynamicBound.
-    std::vector<std::vector<int64_t>> GuardBounds;
-    /// [Loc]: location has stopwatch rate conditions.
-    std::vector<char> LocHasRates;
-    /// One rate condition with its expression pre-folded. The model
-    /// library's rates are almost all the literal 0 ("clock stopped
-    /// here"), so delay steps mostly reduce to a subtraction per stopped
-    /// clock with no expression evaluation at all.
-    struct FoldedRate {
-      int32_t Clock;
-      int64_t Value;            ///< Folded rate, or DynamicBound.
-      const sa::RateCond *Cond; ///< For dynamic evaluation.
-    };
-    /// [Loc]: the location's rate conditions, folded.
-    std::vector<std::vector<FoldedRate>> LocRates;
+  ///
+  /// The folded tables are flat. Automaton A's location l is global
+  /// location LocBase[A] + l and its edge e is global edge EdgeBase[A] + e;
+  /// global location (edge) i owns entries [Off[i], Off[i + 1]) of a table.
+  std::vector<uint32_t> LocBase;
+  std::vector<uint32_t> EdgeBase;
+  /// Folded Location::Uppers bounds, or DynamicBound; indexed via UpperOff.
+  std::vector<uint32_t> UpperOff;
+  std::vector<int64_t> UpperBounds;
+  /// Folded Edge::ClockGuards bounds, or DynamicBound; via GuardOff.
+  std::vector<uint32_t> GuardOff;
+  std::vector<int64_t> GuardBounds;
+  /// One rate condition with its expression pre-folded. The model
+  /// library's rates are almost all the literal 0 ("clock stopped here"),
+  /// so delay steps mostly reduce to a subtraction per stopped clock with
+  /// no expression evaluation at all.
+  struct FoldedRate {
+    int32_t Clock;
+    int64_t Value;            ///< Folded rate, or DynamicBound.
+    const sa::RateCond *Cond; ///< For dynamic evaluation.
   };
-  std::vector<FoldedAut> Folded;
+  /// Each location's rate conditions, folded; indexed via RateOff.
+  std::vector<uint32_t> RateOff;
+  std::vector<FoldedRate> Rates;
+
+  /// The global location automaton \p Aut is in.
+  size_t locOf(const State &S, int Aut) const {
+    return LocBase[static_cast<size_t>(Aut)] +
+           static_cast<size_t>(S.Locs[static_cast<size_t>(Aut)]);
+  }
 
   /// Scratch select frame for collectEnabled (steady-state allocation-free).
   std::vector<int64_t> FrameScratch;

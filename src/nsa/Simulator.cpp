@@ -58,6 +58,11 @@ Simulator::Simulator(const sa::Network &Net) : Net(Net), Ex(Net) {
             static_cast<int32_t>(A));
 }
 
+std::unique_ptr<Simulator> Simulator::create(const sa::Network &Net) {
+  obs::ScopedTimer Timer("sim_setup");
+  return std::make_unique<Simulator>(Net);
+}
+
 void Simulator::reset() {
   Ex.initState(S);
   for (std::vector<EnabledInst> &E : Enabled)

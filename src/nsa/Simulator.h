@@ -233,6 +233,10 @@ class Simulator {
 public:
   explicit Simulator(const sa::Network &Net);
 
+  /// A simulator for \p Net, its construction timed as the "sim_setup"
+  /// phase.
+  static std::unique_ptr<Simulator> create(const sa::Network &Net);
+
   /// Runs from the initial state to the horizon. Restartable: each call
   /// first reset()s, so one Simulator (and its allocations) can be reused
   /// for repeated runs over the same network.

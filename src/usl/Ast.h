@@ -11,10 +11,17 @@
 /// The same AST serves two phases:
 ///   * after parsing + sema, references point to Symbol objects and carry
 ///     types;
-///   * after binding (template instantiation), a *cloned* tree additionally
+///   * after binding (template instantiation), a *bound* copy additionally
 ///     carries concrete resolutions: absolute store slots for shared
 ///     variables, folded constants for template parameters, frame slots for
 ///     function locals, and function-table indices for calls.
+///
+/// Ownership: parser nodes live on the heap. Bound nodes live in the
+/// NodePool (usl/Binder.h) of the BindTarget that bound them and never
+/// outlive it.
+/// ExprPtr/StmtPtr own either kind; their NodeDeleter deletes a heap node
+/// and destroys a pooled one in place, leaving its memory to the pool,
+/// which frees every node at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +34,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -34,6 +42,18 @@ namespace swa {
 namespace usl {
 
 struct FuncDecl;
+struct Expr;
+struct Stmt;
+
+/// Owner policy of ExprPtr/StmtPtr: deletes heap nodes and destroys pooled
+/// nodes in place.
+struct NodeDeleter {
+  void operator()(Expr *E) const;
+  void operator()(Stmt *S) const;
+};
+
+using ExprPtr = std::unique_ptr<Expr, NodeDeleter>;
+using StmtPtr = std::unique_ptr<Stmt, NodeDeleter>;
 
 //===----------------------------------------------------------------------===//
 // Symbols
@@ -118,7 +138,7 @@ enum class BinaryOp {
   Max,
 };
 
-/// How a (cloned, bound) reference resolves at run time.
+/// How a bound reference resolves at run time.
 enum class RefKind {
   Unresolved, ///< Pre-bind state.
   Const,      ///< Folded constant scalar (in ConstValue).
@@ -128,11 +148,13 @@ enum class RefKind {
   ClockRef,   ///< Absolute clock index (only in clock contexts).
 };
 
-struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
-
 struct Expr {
-  ExprKind Kind;
+  Expr() = default;
+  /// A pooled node: it and its child array live in \p Pool.
+  explicit Expr(std::pmr::memory_resource *Pool)
+      : Pooled(true), Children(Pool) {}
+
+  ExprKind Kind = ExprKind::IntLit;
   Type Ty;
   SourceLoc Loc;
 
@@ -167,10 +189,13 @@ struct Expr {
   ClockAtomKind ClockAtom = ClockAtomKind::None;
   bool HasClockAtom = false;
 
-  std::vector<ExprPtr> Children;
+  /// Placed in a NodePool (see NodeDeleter).
+  bool Pooled = false;
+
+  std::pmr::vector<ExprPtr> Children;
 
   static ExprPtr makeInt(int64_t V, SourceLoc Loc = {}) {
-    auto E = std::make_unique<Expr>();
+    ExprPtr E(new Expr());
     E->Kind = ExprKind::IntLit;
     E->Ty = Type::makeInt();
     E->Literal = V;
@@ -178,7 +203,7 @@ struct Expr {
     return E;
   }
   static ExprPtr makeBool(bool V, SourceLoc Loc = {}) {
-    auto E = std::make_unique<Expr>();
+    ExprPtr E(new Expr());
     E->Kind = ExprKind::BoolLit;
     E->Ty = Type::makeBool();
     E->Literal = V ? 1 : 0;
@@ -187,8 +212,8 @@ struct Expr {
   }
 };
 
-/// Deep copy of an expression tree (resolutions included).
-ExprPtr cloneExpr(const Expr &E);
+/// A new heap node (parser output).
+inline ExprPtr makeExpr() { return ExprPtr(new Expr()); }
 
 //===----------------------------------------------------------------------===//
 // Statements
@@ -207,16 +232,19 @@ enum class StmtKind {
 
 enum class AssignOp { Set, Add, Sub };
 
-struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
-
 struct Stmt {
-  StmtKind Kind;
+  Stmt() = default;
+  /// A pooled node: it and its Body array live in \p Pool.
+  explicit Stmt(std::pmr::memory_resource *Pool) : Pooled(true), Body(Pool) {}
+
+  StmtKind Kind = StmtKind::Block;
   SourceLoc Loc;
+  /// Placed in a NodePool (see NodeDeleter).
+  bool Pooled = false;
 
   // Block: Body. For: Body[0]=init stmt, Body[1]=step stmt, then Cond and
   // LoopBody. While: Cond + LoopBody. If: Cond, Then, Else(optional).
-  std::vector<StmtPtr> Body;
+  std::pmr::vector<StmtPtr> Body;
 
   // LocalDecl: declared symbol + optional Value (init). After binding the
   // frame slot/extent are copied here so that evaluation never touches the
@@ -238,8 +266,24 @@ struct Stmt {
   StmtPtr Else;
 };
 
-/// Deep copy of a statement tree.
-StmtPtr cloneStmt(const Stmt &S);
+/// A new heap node (parser output).
+inline StmtPtr makeStmt() { return StmtPtr(new Stmt()); }
+
+// A pooled node is destroyed in place; its memory goes back only when its
+// pool dies, all at once.
+inline void NodeDeleter::operator()(Expr *E) const {
+  if (E->Pooled)
+    E->~Expr();
+  else
+    delete E;
+}
+
+inline void NodeDeleter::operator()(Stmt *S) const {
+  if (S->Pooled)
+    S->~Stmt();
+  else
+    delete S;
+}
 
 //===----------------------------------------------------------------------===//
 // Functions

@@ -13,13 +13,17 @@ using namespace swa::usl;
 
 namespace {
 
+/// Emits into a per-thread scratch buffer that keeps its capacity across
+/// compilations, and returns each unit as an exact-size copy.
 class Compiler {
 public:
+  Compiler() : Out(Scratch) { Out.clear(); }
+
   Result<Code> expr(const Expr &E) {
     if (Error Err = emitExpr(E))
       return Err;
     emit(Op::Halt);
-    return std::move(Out);
+    return Code(Out);
   }
 
   Result<Code> stmts(const std::vector<StmtPtr> &Stmts) {
@@ -27,7 +31,7 @@ public:
       if (Error Err = emitStmt(*S))
         return Err;
     emit(Op::Halt);
-    return std::move(Out);
+    return Code(Out);
   }
 
   Result<Code> function(const FuncDecl &F) {
@@ -39,10 +43,12 @@ public:
     } else {
       emit(Op::Trap);
     }
-    return std::move(Out);
+    return Code(Out);
   }
 
 private:
+  static thread_local Code Scratch;
+
   size_t emit(Op O, int32_t A = 0, int64_t Imm = 0) {
     Out.push_back({O, A, Imm});
     return Out.size() - 1;
@@ -319,8 +325,10 @@ private:
     return errAt(S.Loc, "unknown statement kind");
   }
 
-  Code Out;
+  Code &Out;
 };
+
+thread_local Code Compiler::Scratch;
 
 } // namespace
 

@@ -390,9 +390,10 @@ void ReadSetCollector::scanExpr(const Expr &E, SlotRanges &Reads) {
     if (E.Ref == RefKind::Store) {
       // Constant indices contribute one slot; dynamic indices may read any
       // element (templates can tighten this via read hints).
-      Result<int64_t> Idx = foldConst(*E.Children[0]);
-      if (Idx.ok() && *Idx >= 0 && *Idx < E.ArraySize) {
-        int32_t Slot = E.Slot + static_cast<int32_t>(*Idx);
+      int64_t Idx;
+      if (tryFoldConst(*E.Children[0], Idx) && Idx >= 0 &&
+          Idx < E.ArraySize) {
+        int32_t Slot = E.Slot + static_cast<int32_t>(Idx);
         Reads.push_back({Slot, Slot + 1});
       } else {
         Reads.push_back({E.Slot, E.Slot + E.ArraySize});

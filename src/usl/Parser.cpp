@@ -19,105 +19,138 @@ using namespace swa::usl;
 // Constant folding
 //===----------------------------------------------------------------------===//
 
-Result<int64_t> swa::usl::foldConst(const Expr &E) {
-  auto Fail = [&]() {
-    return Error::failure(
-        formatString("%d:%d: expression is not a compile-time constant",
-                     E.Loc.Line, E.Loc.Col));
+namespace {
+
+/// The one constant folder. On failure it returns false and, when \p Why
+/// is non-null, stores the reason; otherwise it formats nothing.
+bool fold(const Expr &E, int64_t &Out, std::string *Why) {
+  auto Fail = [&](const char *Msg) {
+    if (Why)
+      *Why = formatString("%d:%d: %s", E.Loc.Line, E.Loc.Col, Msg);
+    return false;
+  };
+  auto NotConst = [&]() {
+    return Fail("expression is not a compile-time constant");
   };
   switch (E.Kind) {
   case ExprKind::IntLit:
   case ExprKind::BoolLit:
-    return E.Literal;
+    Out = E.Literal;
+    return true;
   case ExprKind::VarRef:
-    if (E.Ref == RefKind::Const)
-      return E.ConstValue;
+    if (E.Ref == RefKind::Const) {
+      Out = E.ConstValue;
+      return true;
+    }
     if (E.Sym && E.Sym->Kind == SymbolKind::GlobalConst &&
-        !E.Sym->Ty.isArray())
-      return E.Sym->ConstValues[0];
-    return Fail();
+        !E.Sym->Ty.isArray()) {
+      Out = E.Sym->ConstValues[0];
+      return true;
+    }
+    return NotConst();
   case ExprKind::Index: {
     if (!E.Sym || E.Sym->Kind != SymbolKind::GlobalConst)
-      return Fail();
-    Result<int64_t> Idx = foldConst(*E.Children[0]);
-    if (!Idx.ok())
-      return Idx;
-    if (*Idx < 0 ||
-        static_cast<size_t>(*Idx) >= E.Sym->ConstValues.size())
-      return Error::failure(formatString(
-          "%d:%d: constant array index %lld out of bounds", E.Loc.Line,
-          E.Loc.Col, static_cast<long long>(*Idx)));
-    return E.Sym->ConstValues[static_cast<size_t>(*Idx)];
+      return NotConst();
+    int64_t Idx;
+    if (!fold(*E.Children[0], Idx, Why))
+      return false;
+    if (Idx < 0 || static_cast<size_t>(Idx) >= E.Sym->ConstValues.size()) {
+      if (Why)
+        *Why = formatString("%d:%d: constant array index %lld out of bounds",
+                            E.Loc.Line, E.Loc.Col,
+                            static_cast<long long>(Idx));
+      return false;
+    }
+    Out = E.Sym->ConstValues[static_cast<size_t>(Idx)];
+    return true;
   }
   case ExprKind::Unary: {
-    Result<int64_t> V = foldConst(*E.Children[0]);
-    if (!V.ok())
-      return V;
-    return E.UOp == UnaryOp::Neg ? -*V : (*V == 0 ? 1 : 0);
+    int64_t V;
+    if (!fold(*E.Children[0], V, Why))
+      return false;
+    Out = E.UOp == UnaryOp::Neg ? -V : (V == 0 ? 1 : 0);
+    return true;
   }
   case ExprKind::Binary: {
-    Result<int64_t> L = foldConst(*E.Children[0]);
-    if (!L.ok())
-      return L;
+    int64_t L, R;
+    if (!fold(*E.Children[0], L, Why))
+      return false;
     // Short-circuit operators must not fold the other side eagerly when it
     // is non-constant but irrelevant.
-    if (E.BOp == BinaryOp::And && *L == 0)
-      return static_cast<int64_t>(0);
-    if (E.BOp == BinaryOp::Or && *L != 0)
-      return static_cast<int64_t>(1);
-    Result<int64_t> R = foldConst(*E.Children[1]);
-    if (!R.ok())
-      return R;
-    switch (E.BOp) {
-    case BinaryOp::Add:
-      return *L + *R;
-    case BinaryOp::Sub:
-      return *L - *R;
-    case BinaryOp::Mul:
-      return *L * *R;
-    case BinaryOp::Div:
-      if (*R == 0)
-        return Error::failure(formatString("%d:%d: division by zero",
-                                           E.Loc.Line, E.Loc.Col));
-      return *L / *R;
-    case BinaryOp::Rem:
-      if (*R == 0)
-        return Error::failure(formatString("%d:%d: remainder by zero",
-                                           E.Loc.Line, E.Loc.Col));
-      return *L % *R;
-    case BinaryOp::Lt:
-      return static_cast<int64_t>(*L < *R);
-    case BinaryOp::Le:
-      return static_cast<int64_t>(*L <= *R);
-    case BinaryOp::Gt:
-      return static_cast<int64_t>(*L > *R);
-    case BinaryOp::Ge:
-      return static_cast<int64_t>(*L >= *R);
-    case BinaryOp::Eq:
-      return static_cast<int64_t>(*L == *R);
-    case BinaryOp::Ne:
-      return static_cast<int64_t>(*L != *R);
-    case BinaryOp::And:
-      return static_cast<int64_t>(*L != 0 && *R != 0);
-    case BinaryOp::Or:
-      return static_cast<int64_t>(*L != 0 || *R != 0);
-    case BinaryOp::Min:
-      return *L < *R ? *L : *R;
-    case BinaryOp::Max:
-      return *L > *R ? *L : *R;
+    if ((E.BOp == BinaryOp::And && L == 0) ||
+        (E.BOp == BinaryOp::Or && L != 0)) {
+      Out = E.BOp == BinaryOp::Or;
+      return true;
     }
-    return Fail();
+    if (!fold(*E.Children[1], R, Why))
+      return false;
+    if (E.BOp == BinaryOp::Div && R == 0)
+      return Fail("division by zero");
+    if (E.BOp == BinaryOp::Rem && R == 0)
+      return Fail("remainder by zero");
+    Out = applyBinary(E.BOp, L, R);
+    return true;
   }
   case ExprKind::Ternary: {
-    Result<int64_t> C = foldConst(*E.Children[0]);
-    if (!C.ok())
-      return C;
-    return foldConst(*C != 0 ? *E.Children[1] : *E.Children[2]);
+    int64_t C;
+    if (!fold(*E.Children[0], C, Why))
+      return false;
+    return fold(C != 0 ? *E.Children[1] : *E.Children[2], Out, Why);
   }
   case ExprKind::Call:
-    return Fail();
+    return NotConst();
   }
-  return Fail();
+  return NotConst();
+}
+
+} // namespace
+
+int64_t swa::usl::applyBinary(BinaryOp Op, int64_t L, int64_t R) {
+  switch (Op) {
+  case BinaryOp::Add:
+    return L + R;
+  case BinaryOp::Sub:
+    return L - R;
+  case BinaryOp::Mul:
+    return L * R;
+  case BinaryOp::Div:
+    return L / R;
+  case BinaryOp::Rem:
+    return L % R;
+  case BinaryOp::Lt:
+    return L < R;
+  case BinaryOp::Le:
+    return L <= R;
+  case BinaryOp::Gt:
+    return L > R;
+  case BinaryOp::Ge:
+    return L >= R;
+  case BinaryOp::Eq:
+    return L == R;
+  case BinaryOp::Ne:
+    return L != R;
+  case BinaryOp::And:
+    return L != 0 && R != 0;
+  case BinaryOp::Or:
+    return L != 0 || R != 0;
+  case BinaryOp::Min:
+    return L < R ? L : R;
+  case BinaryOp::Max:
+    return L > R ? L : R;
+  }
+  return 0;
+}
+
+Result<int64_t> swa::usl::foldConst(const Expr &E) {
+  int64_t V;
+  std::string Why;
+  if (fold(E, V, &Why))
+    return V;
+  return Error::failure(Why);
+}
+
+bool swa::usl::tryFoldConst(const Expr &E, int64_t &Out) {
+  return fold(E, Out, nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -232,7 +265,7 @@ public:
     if ((*ThenE)->Ty.Kind != (*ElseE)->Ty.Kind)
       return err(Q, "branches of '?:' have mismatched types " +
                         (*ThenE)->Ty.str() + " and " + (*ElseE)->Ty.str());
-    auto N = std::make_unique<Expr>();
+    auto N = makeExpr();
     N->Kind = ExprKind::Ternary;
     N->Ty = (*ThenE)->Ty;
     N->Loc = Q.Loc;
@@ -368,7 +401,7 @@ public:
       if (!(*V)->Ty.isInt())
         return err(Op, "operand of unary '-' must be int, got " +
                            (*V)->Ty.str());
-      auto N = std::make_unique<Expr>();
+      auto N = makeExpr();
       N->Kind = ExprKind::Unary;
       N->UOp = UnaryOp::Neg;
       N->Ty = Type::makeInt();
@@ -385,7 +418,7 @@ public:
         return err(Op, "clock conditions may not appear under '!'");
       if (!(*V)->Ty.isBool())
         return err(Op, "operand of '!' must be bool, got " + (*V)->Ty.str());
-      auto N = std::make_unique<Expr>();
+      auto N = makeExpr();
       N->Kind = ExprKind::Unary;
       N->UOp = UnaryOp::Not;
       N->Ty = Type::makeBool();
@@ -449,7 +482,7 @@ public:
         return E;
       if (!(*Idx)->Ty.isInt())
         return err(T, "array index must be int, got " + (*Idx)->Ty.str());
-      auto N = std::make_unique<Expr>();
+      auto N = makeExpr();
       N->Kind = ExprKind::Index;
       N->Sym = S;
       N->Ty = S->Ty.element();
@@ -465,7 +498,7 @@ public:
                                    : Expr::makeInt(S->ConstValues[0], T.Loc);
       return Lit;
     }
-    auto N = std::make_unique<Expr>();
+    auto N = makeExpr();
     N->Kind = ExprKind::VarRef;
     N->Sym = S;
     N->Ty = S->Ty;
@@ -506,12 +539,13 @@ public:
                                 I + 1, S->Name.c_str(),
                                 Args[I]->Ty.str().c_str(),
                                 F->Params[I]->Ty.str().c_str()));
-    auto N = std::make_unique<Expr>();
+    auto N = makeExpr();
     N->Kind = ExprKind::Call;
     N->Sym = S;
     N->Ty = F->RetTy;
     N->Loc = NameTok.Loc;
-    N->Children = std::move(Args);
+    N->Children.assign(std::make_move_iterator(Args.begin()),
+                       std::make_move_iterator(Args.end()));
     return N;
   }
 
@@ -542,7 +576,7 @@ public:
           (L->ClockAtom == ClockAtomKind::Rate))
         return err(Op, "clock comparison requires a plain clock reference");
       bool IsRate = L->HasClockAtom; // Set by the prime marker below.
-      auto N = std::make_unique<Expr>();
+      auto N = makeExpr();
       N->Kind = ExprKind::Binary;
       N->BOp = B;
       N->Ty = Type::makeBool();
@@ -566,7 +600,7 @@ public:
     if (B != BinaryOp::And && (L->HasClockAtom || R->HasClockAtom))
       return err(Op, "clock conditions may only be combined with '&&'");
 
-    auto N = std::make_unique<Expr>();
+    auto N = makeExpr();
     N->Kind = ExprKind::Binary;
     N->BOp = B;
     N->Loc = Op.Loc;
@@ -664,7 +698,7 @@ public:
     if (Error E = expect(TokenKind::LBrace))
       return E;
     pushScope();
-    auto B = std::make_unique<Stmt>();
+    auto B = makeStmt();
     B->Kind = StmtKind::Block;
     B->Loc = LB.Loc;
     while (!at(TokenKind::RBrace)) {
@@ -715,7 +749,7 @@ public:
   Result<StmtPtr> parseSimpleStmt(bool AllowEmpty) {
     if (AllowEmpty &&
         (at(TokenKind::Semi) || at(TokenKind::RParen))) {
-      auto S = std::make_unique<Stmt>();
+      auto S = makeStmt();
       S->Kind = StmtKind::Block;
       S->Loc = peek().Loc;
       return StmtPtr(std::move(S));
@@ -732,7 +766,7 @@ public:
       Result<ExprPtr> C = parseCall(T, S);
       if (!C.ok())
         return C.takeError();
-      auto St = std::make_unique<Stmt>();
+      auto St = makeStmt();
       St->Kind = StmtKind::ExprStmt;
       St->Loc = T.Loc;
       St->Value = C.takeValue();
@@ -762,7 +796,7 @@ public:
         return E;
       if (!(*Idx)->Ty.isInt())
         return err(T, "array index must be int");
-      Target = std::make_unique<Expr>();
+      Target = makeExpr();
       Target->Kind = ExprKind::Index;
       Target->Sym = S;
       Target->Ty = S->Ty.element();
@@ -771,14 +805,14 @@ public:
     } else {
       if (S->Ty.isArray())
         return err(T, "cannot assign to whole array '" + T.Text + "'");
-      Target = std::make_unique<Expr>();
+      Target = makeExpr();
       Target->Kind = ExprKind::VarRef;
       Target->Sym = S;
       Target->Ty = S->Ty;
       Target->Loc = T.Loc;
     }
 
-    auto St = std::make_unique<Stmt>();
+    auto St = makeStmt();
     St->Kind = StmtKind::Assign;
     St->Loc = T.Loc;
 
@@ -848,7 +882,7 @@ public:
     if (!BaseTy.ok())
       return BaseTy.takeError();
 
-    auto Outer = std::make_unique<Stmt>();
+    auto Outer = makeStmt();
     Outer->Kind = StmtKind::Block;
     Outer->Loc = TypeTok.Loc;
 
@@ -884,7 +918,7 @@ public:
       CurFunc->FrameSize += Ty.isArray() ? Ty.Size : 1;
       addToScope(Sym);
 
-      auto DeclSt = std::make_unique<Stmt>();
+      auto DeclSt = makeStmt();
       DeclSt->Kind = StmtKind::LocalDecl;
       DeclSt->Loc = NameTok.Loc;
       DeclSt->DeclSym = Sym;
@@ -923,7 +957,7 @@ public:
     Result<StmtPtr> Then = parseStmt();
     if (!Then.ok())
       return Then;
-    auto S = std::make_unique<Stmt>();
+    auto S = makeStmt();
     S->Kind = StmtKind::If;
     S->Loc = T.Loc;
     S->Cond = Cond.takeValue();
@@ -951,7 +985,7 @@ public:
     Result<StmtPtr> Body = parseStmt();
     if (!Body.ok())
       return Body;
-    auto S = std::make_unique<Stmt>();
+    auto S = makeStmt();
     S->Kind = StmtKind::While;
     S->Loc = T.Loc;
     S->Cond = Cond.takeValue();
@@ -997,7 +1031,7 @@ public:
     popScope();
     if (!Body.ok())
       return Body;
-    auto S = std::make_unique<Stmt>();
+    auto S = makeStmt();
     S->Kind = StmtKind::For;
     S->Loc = T.Loc;
     S->Body.push_back(Init.takeValue());
@@ -1019,7 +1053,7 @@ public:
 
   Result<StmtPtr> parseReturn() {
     Token T = consume();
-    auto S = std::make_unique<Stmt>();
+    auto S = makeStmt();
     S->Kind = StmtKind::Return;
     S->Loc = T.Loc;
     if (!at(TokenKind::Semi)) {
@@ -1696,7 +1730,7 @@ public:
           return Rate;
         if (!(*Rate)->Ty.isInt())
           return err(NameTok, "clock rate must be an int expression");
-        auto N = std::make_unique<Expr>();
+        auto N = makeExpr();
         N->Kind = ExprKind::Binary;
         N->BOp = BinaryOp::Eq;
         N->Ty = Type::makeBool();
@@ -1704,7 +1738,7 @@ public:
         N->Sym = S;
         N->ClockAtom = ClockAtomKind::Rate;
         N->HasClockAtom = true;
-        auto ClockRef = std::make_unique<Expr>();
+        auto ClockRef = makeExpr();
         ClockRef->Kind = ExprKind::VarRef;
         ClockRef->Sym = S;
         ClockRef->Ty = Type::makeClock();
@@ -1752,7 +1786,7 @@ public:
       Into = std::move(C);
       return;
     }
-    auto N = std::make_unique<Expr>();
+    auto N = makeExpr();
     N->Kind = ExprKind::Binary;
     N->BOp = BinaryOp::And;
     N->Ty = Type::makeBool();

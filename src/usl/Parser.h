@@ -133,6 +133,14 @@ void computeWritesState(Declarations &Decls);
 /// references runtime state.
 Result<int64_t> foldConst(const Expr &E);
 
+/// foldConst without the diagnostic: true (and \p Out set) exactly when
+/// foldConst succeeds. Formats and allocates nothing.
+bool tryFoldConst(const Expr &E, int64_t &Out);
+
+/// The value of `L Op R` for a binary operator other than a division or
+/// remainder by zero (the caller rules those out).
+int64_t applyBinary(BinaryOp Op, int64_t L, int64_t R);
+
 } // namespace usl
 } // namespace swa
 

@@ -46,7 +46,10 @@ int64_t swa::usl::runCode(const Code &TopCode,
     return Stack[--SP];
   };
 
-  std::vector<CallRecord> Calls;
+  // Ctx.CallDepth caps nesting at MaxCallDepth, so a fixed array holds
+  // every return address.
+  CallRecord Calls[MaxCallDepth];
+  size_t NumCalls = 0;
   const Code *C = &TopCode;
   size_t PC = 0;
   size_t FB = FrameBase;
@@ -241,7 +244,7 @@ int64_t swa::usl::runCode(const Code &TopCode,
       size_t FnIdx = static_cast<size_t>(I.A);
       if (FnIdx >= FuncCode.size() || FuncCode[FnIdx].empty())
         fatalVm("call to an uncompiled function");
-      if (++Ctx.CallDepth > MaxCallDepth)
+      if (++Ctx.CallDepth > MaxCallDepth || NumCalls == MaxCallDepth)
         fatalVm("call depth limit exceeded");
       const FuncDecl *F = (*Ctx.FuncTable)[FnIdx];
       size_t NArgs = static_cast<size_t>(I.Imm);
@@ -251,20 +254,19 @@ int64_t swa::usl::runCode(const Code &TopCode,
         Frame[NewBase + NArgs - 1 - K] = Pop();
       for (size_t K = NArgs; K < static_cast<size_t>(F->FrameSize); ++K)
         Frame[NewBase + K] = 0;
-      Calls.push_back({C, PC, FB});
+      Calls[NumCalls++] = {C, PC, FB};
       C = &FuncCode[FnIdx];
       PC = 0;
       FB = NewBase;
       break;
     }
     case Op::Ret: {
-      if (Calls.empty())
+      if (NumCalls == 0)
         fatalVm("return outside a function");
       int64_t V = Pop();
       Frame.resize(FB);
       --Ctx.CallDepth;
-      CallRecord R = Calls.back();
-      Calls.pop_back();
+      const CallRecord &R = Calls[--NumCalls];
       C = R.C;
       PC = R.PC;
       FB = R.FrameBase;

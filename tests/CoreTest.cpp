@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory_resource>
+
 using namespace swa;
 using namespace swa::analysis;
 
@@ -37,6 +40,52 @@ TEST(InstanceBuilder, CreatesOneAutomatonPerComponent) {
   EXPECT_GE(Model->ExecBase, 0);
   EXPECT_GE(Model->SendBase, 0);
   EXPECT_NE(Model->ExecBase, Model->PreemptBase);
+}
+
+/// A pmr resource that counts the blocks it has outstanding.
+class CountingResource final : public std::pmr::memory_resource {
+public:
+  size_t Blocks = 0;
+  size_t Allocations = 0;
+
+private:
+  void *do_allocate(size_t Size, size_t Align) override {
+    ++Blocks;
+    ++Allocations;
+    return std::pmr::new_delete_resource()->allocate(Size, Align);
+  }
+  void do_deallocate(void *P, size_t Size, size_t Align) override {
+    --Blocks;
+    std::pmr::new_delete_resource()->deallocate(P, Size, Align);
+  }
+  bool do_is_equal(const memory_resource &O) const noexcept override {
+    return this == &O;
+  }
+};
+
+TEST(InstanceBuilder, NetworkTeardownFreesItsNodePool) {
+  // Bound nodes live in their network's pool, which draws big blocks from
+  // the default resource; parser nodes draw their child arrays from it
+  // one by one and are gone once the build returns.
+  CountingResource Counting;
+  std::pmr::memory_resource *Old = std::pmr::set_default_resource(&Counting);
+  {
+    Result<core::BuiltModel> Model =
+        core::buildModel(testcfg::twoTasksOneCore());
+    ASSERT_TRUE(Model.ok()) << Model.error().message();
+    const usl::NodePool &Pool = *Model->Net->Bind.Pool;
+    EXPECT_GT(Pool.nodes(), 100u);
+    EXPECT_GE(Pool.bytes(),
+              Pool.nodes() * std::min(sizeof(usl::Expr), sizeof(usl::Stmt)));
+    // Only the pool's blocks outlive the build, and there are few.
+    EXPECT_GT(Counting.Blocks, 0u);
+    EXPECT_LT(Counting.Blocks, 32u);
+    EXPECT_GT(Counting.Allocations, Counting.Blocks);
+    Model->Net.reset();
+    EXPECT_EQ(Counting.Blocks, 0u);
+  }
+  std::pmr::set_default_resource(Old);
+  EXPECT_EQ(Counting.Blocks, 0u);
 }
 
 TEST(InstanceBuilder, RejectsInvalidConfigurations) {

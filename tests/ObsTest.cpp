@@ -461,6 +461,11 @@ TEST(ObsEngine, SimulatorPublishesCounters) {
   EXPECT_EQ(Reg.counter("core.models.built").value(), 1u);
   EXPECT_EQ(Reg.counter("core.automata.instantiated").value(),
             Model->Net->Automata.size());
+  EXPECT_EQ(Reg.counter("core.bound_nodes").value(),
+            Model->Net->Bind.Pool->nodes());
+  EXPECT_EQ(Reg.counter("core.node_pool_bytes").value(),
+            Model->Net->Bind.Pool->bytes());
+  EXPECT_GT(Model->Net->Bind.Pool->nodes(), 0u);
 }
 
 TEST(ObsEngine, PhaseTreeCoversPipeline) {
@@ -478,7 +483,19 @@ TEST(ObsEngine, PhaseTreeCoversPipeline) {
   ASSERT_NE(Analyze, nullptr);
   EXPECT_NE(Analyze->child("map_trace"), nullptr);
   EXPECT_NE(Analyze->child("criterion"), nullptr);
+  EXPECT_NE(Root.child("sim_setup"), nullptr);
   EXPECT_GT(obs::PhaseTree::totalNanos(Root), 0u);
+
+  // Freeing the outcome frees the network under its own phase, once: a
+  // moved-from outcome has nothing to free.
+  EXPECT_EQ(Root.child("teardown"), nullptr);
+  {
+    analysis::AnalyzeOutcome Moved = Out.takeValue();
+    EXPECT_EQ(Root.child("teardown"), nullptr);
+  }
+  const obs::PhaseTree::Node *Teardown = Root.child("teardown");
+  ASSERT_NE(Teardown, nullptr);
+  EXPECT_EQ(Teardown->Count, 1u);
 }
 
 TEST(ObsEngine, ActionBudgetExhaustionIsDiagnosable) {

@@ -5,11 +5,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "usl/Binder.h"
+#include "usl/Compiler.h"
+#include "usl/Disasm.h"
 #include "usl/Interp.h"
 #include "usl/Lexer.h"
 #include "usl/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <memory_resource>
 
 using namespace swa;
 using namespace swa::usl;
@@ -381,6 +385,259 @@ TEST(Binder, ReportsMissingBindings) {
   Binder B(Target); // No mapStore for x.
   auto Bound = B.bindExpr(**E);
   EXPECT_FALSE(Bound.ok());
+}
+
+namespace {
+
+/// Every field of a bound tree that evaluation or compilation reads.
+std::string dumpTree(const Expr &E) {
+  static const char *const Kinds[] = {"int",  "bool",  "var",    "index",
+                                      "call", "unary", "binary", "ternary"};
+  std::string S = std::string("(") + Kinds[static_cast<int>(E.Kind)] + ":" +
+                  E.Ty.str();
+  switch (E.Kind) {
+  case ExprKind::IntLit:
+  case ExprKind::BoolLit:
+    S += " " + std::to_string(E.Literal);
+    break;
+  case ExprKind::VarRef:
+  case ExprKind::Index:
+    S += " ref" + std::to_string(static_cast<int>(E.Ref)) + "@" +
+         std::to_string(E.Slot) + "/" + std::to_string(E.ArraySize);
+    break;
+  case ExprKind::Call:
+    S += " fn" + std::to_string(E.FuncIndex);
+    break;
+  case ExprKind::Unary:
+    S += " u" + std::to_string(static_cast<int>(E.UOp));
+    break;
+  case ExprKind::Binary:
+    S += " b" + std::to_string(static_cast<int>(E.BOp));
+    break;
+  case ExprKind::Ternary:
+    break;
+  }
+  for (const ExprPtr &C : E.Children)
+    S += " " + dumpTree(*C);
+  return S + ")";
+}
+
+/// Globals x (slot 0) and y (never mapped), a constant and a constant
+/// array; template parameters on = 1, off = 0, zero = 0 and w = {10,20,30}.
+class FoldFixture {
+public:
+  FoldFixture() : TDecls(&Globals), B(Target) {
+    EXPECT_FALSE(parseDeclarations("int x; int y; const int N = 4;"
+                                   "const int T[3] = {5, 6, 7};",
+                                   Globals, false));
+    EXPECT_FALSE(
+        parseTemplateParams("int on, int off, int zero, int[] w", TDecls));
+    B.mapStore(Globals.lookup("x"), 0);
+    B.mapParam(TDecls.lookup("on"), {1});
+    B.mapParam(TDecls.lookup("off"), {0});
+    B.mapParam(TDecls.lookup("zero"), {0});
+    B.mapParam(TDecls.lookup("w"), {10, 20, 30});
+  }
+
+  /// "tree | disassembly" of the bound expression, or the bind error.
+  std::string bind(const std::string &Src, bool IsBool = false) {
+    Result<ExprPtr> E =
+        IsBool ? parseBoolExpr(Src, TDecls) : parseIntExpr(Src, TDecls);
+    EXPECT_TRUE(E.ok()) << E.error().message();
+    Result<ExprPtr> Bound = B.bindExpr(**E);
+    if (!Bound.ok())
+      return "error: " + Bound.error().message();
+    Result<Code> C = compileExpr(**Bound);
+    EXPECT_TRUE(C.ok()) << C.error().message();
+    return dumpTree(**Bound) + " | " + disassemble(*C);
+  }
+
+  Declarations Globals;
+  Declarations TDecls;
+  BindTarget Target;
+  Binder B;
+};
+
+} // namespace
+
+// The expected trees and listings below are those of the deep-clone
+// binder this one-pass binder replaced.
+TEST(BinderFold, ScalarParameter) {
+  FoldFixture F;
+  EXPECT_EQ(F.bind("on * 7 + x"),
+            "(binary:int b0 (int:int 7) (var:int ref3@0/1)) | "
+            "   0: push     7\n"
+            "   1: ld.s     0\n"
+            "   2: add     \n"
+            "   3: halt    \n");
+}
+
+TEST(BinderFold, GlobalConstant) {
+  FoldFixture F;
+  EXPECT_EQ(F.bind("N * on - x"),
+            "(binary:int b1 (int:int 4) (var:int ref3@0/1)) | "
+            "   0: push     4\n"
+            "   1: ld.s     0\n"
+            "   2: sub     \n"
+            "   3: halt    \n");
+}
+
+TEST(BinderFold, ConstantIndexIntoConstantArray) {
+  FoldFixture F;
+  EXPECT_EQ(F.bind("T[on] + w[on + 1] + x"),
+            "(binary:int b0 (int:int 36) (var:int ref3@0/1)) | "
+            "   0: push     36\n"
+            "   1: ld.s     0\n"
+            "   2: add     \n"
+            "   3: halt    \n");
+  EXPECT_EQ(F.bind("w[x]"),
+            "(index:int ref2@1/3 (var:int ref3@0/1)) | "
+            "   0: ld.s     0\n"
+            "   1: ld.k[]   1 (n=3)\n"
+            "   2: halt    \n");
+  EXPECT_EQ(F.bind("w[3 * on]"),
+            "error: 1:1: constant index 3 out of bounds (array size 3)");
+}
+
+TEST(BinderFold, ShortCircuitWithNonConstantRightHandSide) {
+  FoldFixture F;
+  EXPECT_EQ(F.bind("off == 1 && x > 0", true),
+            "(bool:bool 0) | "
+            "   0: push     0\n"
+            "   1: halt    \n");
+  EXPECT_EQ(F.bind("on == 1 && x > 0", true),
+            "(binary:bool b11 (bool:bool 1) "
+            "(binary:bool b7 (var:int ref3@0/1) (int:int 0))) | "
+            "   0: push     1\n"
+            "   1: jz       -> 8\n"
+            "   2: ld.s     0\n"
+            "   3: push     0\n"
+            "   4: cgt     \n"
+            "   5: jz       -> 8\n"
+            "   6: push     1\n"
+            "   7: jmp      -> 9\n"
+            "   8: push     0\n"
+            "   9: halt    \n");
+  EXPECT_EQ(F.bind("on == 1 || x > 0", true),
+            "(bool:bool 1) | "
+            "   0: push     1\n"
+            "   1: halt    \n");
+  EXPECT_EQ(F.bind("off == 1 || x > 0", true),
+            "(binary:bool b12 (bool:bool 0) "
+            "(binary:bool b7 (var:int ref3@0/1) (int:int 0))) | "
+            "   0: push     0\n"
+            "   1: jnz      -> 8\n"
+            "   2: ld.s     0\n"
+            "   3: push     0\n"
+            "   4: cgt     \n"
+            "   5: jnz      -> 8\n"
+            "   6: push     0\n"
+            "   7: jmp      -> 9\n"
+            "   8: push     1\n"
+            "   9: halt    \n");
+  EXPECT_EQ(F.bind("on == 1 ? x : 3"),
+            "(ternary:int (bool:bool 1) (var:int ref3@0/1) (int:int 3)) | "
+            "   0: push     1\n"
+            "   1: jz       -> 4\n"
+            "   2: ld.s     0\n"
+            "   3: jmp      -> 5\n"
+            "   4: push     3\n"
+            "   5: halt    \n");
+  EXPECT_EQ(F.bind("off == 1 ? x : 3"),
+            "(int:int 3) | "
+            "   0: push     3\n"
+            "   1: halt    \n");
+}
+
+TEST(BinderFold, DivisionByZeroStaysUnfolded) {
+  FoldFixture F;
+  EXPECT_EQ(F.bind("10 / zero"),
+            "(binary:int b3 (int:int 10) (int:int 0)) | "
+            "   0: push     10\n"
+            "   1: push     0\n"
+            "   2: div     \n"
+            "   3: halt    \n");
+  EXPECT_EQ(F.bind("10 % (on - 1)"),
+            "(binary:int b4 (int:int 10) (int:int 0)) | "
+            "   0: push     10\n"
+            "   1: push     0\n"
+            "   2: rem     \n"
+            "   3: halt    \n");
+}
+
+TEST(BinderFold, UnboundVariableInShortCircuitedOperandIsAnError) {
+  FoldFixture F;
+  EXPECT_EQ(F.bind("off == 1 && y > 0", true),
+            "error: 1:13: unbound variable 'y'");
+  EXPECT_EQ(F.bind("on == 1 || y > 0", true),
+            "error: 1:12: unbound variable 'y'");
+  EXPECT_EQ(F.bind("on == 1 ? 3 : y"),
+            "error: 1:15: unbound variable 'y'");
+}
+
+/// A pmr resource that counts what is outstanding.
+class CountingResource final : public std::pmr::memory_resource {
+public:
+  size_t Blocks = 0;
+  size_t Bytes = 0;
+
+private:
+  void *do_allocate(size_t Size, size_t Align) override {
+    ++Blocks;
+    Bytes += Size;
+    return std::pmr::new_delete_resource()->allocate(Size, Align);
+  }
+  void do_deallocate(void *P, size_t Size, size_t Align) override {
+    --Blocks;
+    Bytes -= Size;
+    std::pmr::new_delete_resource()->deallocate(P, Size, Align);
+  }
+  bool do_is_equal(const memory_resource &O) const noexcept override {
+    return this == &O;
+  }
+};
+
+TEST(NodePool, TargetReleasesPooledNodesAndHeapNodesAreDeleted) {
+  CountingResource Counting;
+  std::pmr::memory_resource *Old = std::pmr::set_default_resource(&Counting);
+  {
+    Declarations D;
+    ASSERT_FALSE(parseDeclarations("int x; int f(int a) { return a + x; }",
+                                   D, false));
+    const size_t DeclBlocks = Counting.Blocks;
+    Result<ExprPtr> Heap = parseIntExpr("f(x * 2) + f(x - 1)", D);
+    ASSERT_TRUE(Heap.ok()) << Heap.error().message();
+    const size_t ParserBlocks = Counting.Blocks;
+    EXPECT_GT(ParserBlocks, DeclBlocks); // The expression's child arrays.
+    {
+      BindTarget Target;
+      Binder B(Target);
+      B.mapStore(D.lookup("x"), 0);
+      Result<ExprPtr> Bound = B.bindExpr(**Heap);
+      ASSERT_TRUE(Bound.ok()) << Bound.error().message();
+      EXPECT_TRUE((*Bound)->Pooled);
+      EXPECT_GT(Target.Pool->nodes(), 10u); // Tree and function body.
+      EXPECT_GT(Counting.Blocks, ParserBlocks);
+      // A heap node hung under a pooled one is still deleted with it.
+      const size_t BoundBlocks = Counting.Blocks;
+      Result<ExprPtr> Extra = parseIntExpr("x + 1", D);
+      ASSERT_TRUE(Extra.ok()) << Extra.error().message();
+      const size_t ExtraBlocks = Counting.Blocks - BoundBlocks;
+      EXPECT_GT(ExtraBlocks, 0u);
+      (*Bound)->Children[0] = Extra.takeValue();
+      Bound->reset(); // Pooled: destroyed in place, memory left to the pool.
+      EXPECT_EQ(Counting.Blocks, BoundBlocks);
+    }
+    // The pool gave all its blocks back at once.
+    EXPECT_EQ(Counting.Blocks, ParserBlocks);
+    EXPECT_FALSE((*Heap)->Pooled);
+    Heap->reset();
+    // Deleting the heap tree freed its child arrays.
+    EXPECT_EQ(Counting.Blocks, DeclBlocks);
+  }
+  std::pmr::set_default_resource(Old);
+  EXPECT_EQ(Counting.Blocks, 0u);
+  EXPECT_EQ(Counting.Bytes, 0u);
 }
 
 TEST(Interp, ReadSetCollectorSeesThroughCalls) {

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyzer.h"
+#include "sa/Compile.h"
 #include "gen/Workload.h"
 #include "support/Rng.h"
 #include "usl/Binder.h"
@@ -262,6 +263,47 @@ TEST(Vm, WholeSimulationMatchesInterpreter) {
   EXPECT_TRUE(
       analysis::jobTracesEquivalent(Compiled->Analysis, Analysis));
   EXPECT_EQ(Compiled->Analysis.Schedulable, Analysis.Schedulable);
+}
+
+TEST(Vm, IndustrialBytecodeIsPinned) {
+  // The bound trees of a 500-job system, seen through their bytecode and
+  // constant arrays. The pinned digests are those of the deep-clone
+  // binder that the one-pass, pooled binder replaced; any change to what
+  // binding produces moves them.
+  auto Model = core::buildModel(gen::industrialConfigWithJobs(500, 1));
+  ASSERT_TRUE(Model.ok()) << Model.error().message();
+  sa::NetworkBytecode BC;
+  sa::extractBytecode(*Model->Net, BC);
+
+  uint64_t H = 0xcbf29ce484222325ULL; // FNV-1a over little-endian bytes.
+  auto Mix = [&H](uint64_t V, int Bytes) {
+    for (int B = 0; B < Bytes; ++B) {
+      H ^= (V >> (8 * B)) & 0xff;
+      H *= 0x100000001b3ULL;
+    }
+  };
+  size_t Insns = 0;
+  for (const Code &C : BC.Sites) {
+    Mix(C.size(), 8);
+    for (const Insn &I : C) {
+      Mix(static_cast<uint64_t>(I.Code), 1);
+      Mix(static_cast<uint32_t>(I.A), 4);
+      Mix(static_cast<uint64_t>(I.Imm), 8);
+      ++Insns;
+    }
+  }
+  EXPECT_EQ(BC.Sites.size(), 7528u);
+  EXPECT_EQ(Insns, 29879u);
+  EXPECT_EQ(H, 0xa092d5ab35305ccdULL);
+
+  H = 0xcbf29ce484222325ULL;
+  for (const std::vector<int64_t> &A : Model->Net->Bind.ConstArrays) {
+    Mix(A.size(), 8);
+    for (int64_t V : A)
+      Mix(static_cast<uint64_t>(V), 8);
+  }
+  EXPECT_EQ(Model->Net->Bind.ConstArrays.size(), 214u);
+  EXPECT_EQ(H, 0x2a54483e276755e9ULL);
 }
 
 int main(int argc, char **argv) {
